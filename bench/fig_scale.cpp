@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "harness.hpp"
@@ -70,14 +69,12 @@ double cv_of(const std::vector<double>& v) {
 }
 
 PointResult run_point(int ranks, std::uint64_t modeled_clients, bool quick,
-                      std::uint64_t seed, int shards = 0, int threads = 1) {
+                      std::uint64_t seed) {
   sim::ScenarioConfig cfg;
   cfg.cluster.num_mds = ranks;
   cfg.cluster.seed = seed;
   cfg.cluster.split_size = quick ? 1000 : 5000;
   cfg.cluster.bal_interval = quick ? kSec : 10 * kSec;
-  cfg.cluster.shards = shards;
-  cfg.threads = threads;
   const Time duration = quick ? 3 * kSec : 20 * kSec;
   cfg.max_time = duration + 30 * kSec;
 
@@ -157,9 +154,6 @@ PointResult run_point(int ranks, std::uint64_t modeled_clients, bool quick,
     r.cv_mean /= static_cast<double>(r.cv_series.size());
   r.metrics_json = s.cluster().metrics().to_json();
 
-  // Sharded runs share one dump stem per (label, seed, config) — the
-  // digest covers shards but deliberately not the thread count, so every
-  // K overwrites the files with what must be identical bytes.
   bench::dump_observability("fig_scale_r" + std::to_string(ranks), seed, s);
   return r;
 }
@@ -230,158 +224,16 @@ void print_point_json(std::FILE* f, const PointResult& r, bool last) {
   std::fprintf(f, "]}%s\n", last ? "" : ",");
 }
 
-/// --threads mode: the parallel-engine sweep (ISSUE 10). Re-runs the
-/// scale points on the sharded engine at K = 1, 2, 4, 8 worker threads
-/// and reports wall-clock events/sec, the speedup over the K=1 run of
-/// the *same* sharded schedule, and a byte-identity check of the
-/// metrics snapshot across K. Emits BENCH_parallel.json.
-int run_threads_sweep(bool quick, const std::string& out_path,
-                      std::uint64_t seed) {
-  struct Point {
-    int ranks;
-    std::uint64_t clients;
-  };
-  const std::vector<Point> sweep =
-      quick ? std::vector<Point>{{4, 10'000}, {8, 50'000}, {16, 100'000}}
-            : std::vector<Point>{{16, 10'000}, {128, 100'000},
-                                 {512, 1'000'000}};
-  const std::vector<int> thread_counts = {1, 2, 4, 8};
-  const int shards = 8;
-  const unsigned host_cpus = std::thread::hardware_concurrency();
-
-  std::printf(
-      "## fig_scale --threads — %s sweep (seed %llu, %d shards, %u cpus)\n",
-      quick ? "quick" : "full", static_cast<unsigned long long>(seed), shards,
-      host_cpus);
-  if (host_cpus < 4)
-    std::printf(
-        "  note: only %u hardware thread%s — K>1 cannot beat serial here;\n"
-        "  the sweep still proves byte-identity and measures barrier cost\n",
-        host_cpus, host_cpus == 1 ? "" : "s");
-
-  // Classic single-queue reference at the largest point: the sharded
-  // schedule's serial run is itself faster (S+1 small ladder queues beat
-  // one big one), so report both axes of the speedup story.
-  std::printf("classic single-queue reference (largest point):\n");
-  const PointResult classic = run_point(sweep.back().ranks,
-                                        sweep.back().clients, quick, seed);
-  const double classic_eps =
-      classic.wall_s > 0
-          ? static_cast<double>(classic.engine_events) / classic.wall_s
-          : 0;
-  std::printf("  %3d ranks, shards=0: %.2fs wall, %" PRIu64
-              " events (%.0f/s)\n",
-              classic.ranks, classic.wall_s, classic.engine_events,
-              classic_eps);
-
-  struct Cell {
-    int ranks = 0;
-    int threads = 0;
-    double wall_s = 0;
-    std::uint64_t engine_events = 0;
-    double events_per_sec = 0;
-    double speedup = 1.0;
-    bool identical = true;
-  };
-  std::vector<Cell> cells;
-  bool all_identical = true;
-  double speedup_at_max_ranks = 0;
-
-  for (const Point& p : sweep) {
-    std::string serial_metrics;
-    double serial_wall = 0;
-    for (const int k : thread_counts) {
-      const PointResult r =
-          run_point(p.ranks, p.clients, quick, seed, shards, k);
-      Cell c;
-      c.ranks = p.ranks;
-      c.threads = k;
-      c.wall_s = r.wall_s;
-      c.engine_events = r.engine_events;
-      c.events_per_sec =
-          r.wall_s > 0 ? static_cast<double>(r.engine_events) / r.wall_s : 0;
-      if (k == 1) {
-        serial_metrics = r.metrics_json;
-        serial_wall = r.wall_s;
-      } else {
-        c.identical = r.metrics_json == serial_metrics;
-        c.speedup = r.wall_s > 0 ? serial_wall / r.wall_s : 0;
-      }
-      all_identical = all_identical && c.identical;
-      if (p.ranks == sweep.back().ranks && k >= 4)
-        speedup_at_max_ranks = std::max(speedup_at_max_ranks, c.speedup);
-      std::printf("  %3d ranks x %d thread%s: %.2fs wall, %" PRIu64
-                  " events (%.0f/s), speedup %.2fx, snapshot %s\n",
-                  c.ranks, c.threads, c.threads == 1 ? " " : "s", c.wall_s,
-                  c.engine_events, c.events_per_sec, c.speedup,
-                  c.identical ? "identical" : "DIVERGED");
-      cells.push_back(c);
-    }
-  }
-
-  std::printf("max-ranks speedup at >=4 threads: %.2fx; byte-identity: %s\n",
-              speedup_at_max_ranks, all_identical ? "ok" : "FAILED");
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"fig_scale_parallel\",\n  \"quick\": %s,\n"
-               "  \"seed\": %llu,\n  \"shards\": %d,\n  \"host_cpus\": %u,\n"
-               "  \"classic_reference\": {\"ranks\": %d, \"wall_s\": %.3f, "
-               "\"engine_events\": %" PRIu64
-               ", \"engine_events_per_sec\": %.0f},\n  \"points\": [\n",
-               quick ? "true" : "false",
-               static_cast<unsigned long long>(seed), shards, host_cpus,
-               classic.ranks, classic.wall_s, classic.engine_events,
-               classic_eps);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(f,
-                 "    {\"ranks\": %d, \"threads\": %d, \"wall_s\": %.3f, "
-                 "\"engine_events\": %" PRIu64
-                 ", \"engine_events_per_sec\": %.0f, \"speedup_vs_serial\": "
-                 "%.3f, \"identical_to_serial\": %s}%s\n",
-                 c.ranks, c.threads, c.wall_s, c.engine_events,
-                 c.events_per_sec, c.speedup, c.identical ? "true" : "false",
-                 i + 1 == cells.size() ? "" : ",");
-  }
-  double serial_vs_classic = 0;
-  for (const Cell& c : cells)
-    if (c.ranks == sweep.back().ranks && c.threads == 1 && classic_eps > 0)
-      serial_vs_classic = c.events_per_sec / classic_eps;
-  std::fprintf(f, "  ],\n  \"speedup_at_max_ranks_4_threads\": %.3f,\n",
-               speedup_at_max_ranks);
-  std::fprintf(f, "  \"sharded_serial_vs_classic\": %.3f,\n",
-               serial_vs_classic);
-  std::fprintf(f, "  \"determinism_ok\": %s\n}\n",
-               all_identical ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-
-  mantle::bench::print_phase_profile();
-  return all_identical ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool quick = mantle::bench::quick_mode(argc, argv);
-  bool threads_mode = false;
-  std::string out_path;
+  std::string out_path = "BENCH_scale.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) threads_mode = true;
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
       out_path = argv[i + 1];
   }
   const std::uint64_t seed = 42;
-  if (threads_mode) {
-    if (out_path.empty()) out_path = "BENCH_parallel.json";
-    return run_threads_sweep(quick, out_path, seed);
-  }
-  if (out_path.empty()) out_path = "BENCH_scale.json";
 
   struct Point {
     int ranks;

@@ -113,11 +113,6 @@ inline std::string obs_dump_digest(const std::string& label,
   u(static_cast<std::uint64_t>(c.laggy_readmit_ticks));
   u(c.trace_capacity);
   u(c.provenance_capacity), u(c.provenance_max_ranks);
-  // Sharded-engine schedule parameters. The shard count and lookahead
-  // change the event schedule (and so the dumps); the worker-thread
-  // count K must not, and is deliberately absent.
-  u(static_cast<std::uint64_t>(c.shards));
-  u(c.lookahead);
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%08x",
                 static_cast<unsigned>(h ^ (h >> 32)));

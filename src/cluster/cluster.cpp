@@ -6,7 +6,6 @@
 
 #include "common/log.hpp"
 #include "obs/profile.hpp"
-#include "sim/shard.hpp"
 
 namespace mantle::cluster {
 
@@ -156,7 +155,7 @@ void MdsNode::on_arrival(Request r) {
 
 void MdsNode::on_heartbeat(const HeartbeatPayload& hb) {
   if (hb.rank >= 0 && static_cast<std::size_t>(hb.rank) < hb_.size()) {
-    const Time now = cluster_.sim_now();
+    const Time now = cluster_.engine().now();
     if (cluster_.config().hb_stale_guard) {
       // A payload from a dead incarnation (duplicated/delayed across the
       // sender's crash) or one older than what is already stored must not
@@ -165,7 +164,7 @@ void MdsNode::on_heartbeat(const HeartbeatPayload& hb) {
       const HeartbeatPayload& cur = hb_[static_cast<std::size_t>(hb.rank)];
       if (hb.epoch < cluster_.crash_epoch(hb.rank) || hb.epoch < cur.epoch ||
           (hb.epoch == cur.epoch && hb.sent_at < cur.sent_at)) {
-        cluster_.hb_stale_rejected_.fetch_add(1, std::memory_order_relaxed);
+        ++cluster_.hb_stale_rejected_;
         cluster_.om_.hb_stale_rejected.inc();
         cluster_.trace_.event(
             now, obs::EventKind::HeartbeatStaleRejected, rank_, hb.rank, {},
@@ -230,7 +229,7 @@ void MdsNode::process_front() {
     // Unknown directory: answer with an error after a lookup-ish cost.
     const Time svc = service_time(OpType::Lookup);
     busy_in_window_ += svc;
-    cluster_.sched_after(svc, [this, ep, r]() {
+    cluster_.engine().schedule_after(svc, [this, ep, r]() {
       if (ep != epoch_) return;
       Reply rep;
       rep.req_id = r.id;
@@ -241,7 +240,7 @@ void MdsNode::process_front() {
       rep.hops = r.hops;
       rep.span = r.span;
       rep.issued_at = r.issued_at;
-      rep.finished_at = cluster_.sim_now();
+      rep.finished_at = cluster_.engine().now();
       cluster_.deliver_reply(rep);
       process_front();
     });
@@ -256,7 +255,7 @@ void MdsNode::process_front() {
     // The covering subtree is mid-migration: park the request with the
     // migration; it is re-injected at the importer on completion.
     cluster_.defer_to_migration(target, std::move(r));
-    cluster_.sched_after(0, [this, ep]() {
+    cluster_.engine().schedule_after(0, [this, ep]() {
       if (ep == epoch_) process_front();
     });
     return;
@@ -268,17 +267,18 @@ void MdsNode::process_front() {
     ++stats_.forwards_out;
     cluster_.om_.forwards.inc();
     ++r.hops;
-    forward_pop_.hit(cluster_.sim_now(), cluster_.ns().decay_rate());
+    forward_pop_.hit(cluster_.engine().now(), cluster_.ns().decay_rate());
     const Time fwd = cluster_.config().svc_forward;
     busy_in_window_ += fwd;
-    cluster_.sched_after(fwd, [this, ep, r = std::move(r), target]() mutable {
-      if (ep != epoch_) return;
-      // Re-resolve at send time; if the authority is down the request
-      // parks on the dead-letter queue instead of vanishing into a dead
-      // host, and is re-injected when the subtree recovers.
-      cluster_.route_or_park(target, std::move(r));
-      process_front();
-    });
+    cluster_.engine().schedule_after(
+        fwd, [this, ep, r = std::move(r), target]() mutable {
+          if (ep != epoch_) return;
+          // Re-resolve at send time; if the authority is down the request
+          // parks on the dead-letter queue instead of vanishing into a dead
+          // host, and is re-injected when the subtree recovers.
+          cluster_.route_or_park(target, std::move(r));
+          process_front();
+        });
     return;
   }
 
@@ -328,11 +328,12 @@ void MdsNode::process_front() {
              static_cast<Time>((sharers - 1) * (sharers - 1));
   }
   busy_in_window_ += svc;
-  cluster_.sched_after(svc, [this, ep, r = std::move(r), svc]() mutable {
-    if (ep != epoch_) return;
-    complete(std::move(r), svc);
-    process_front();
-  });
+  cluster_.engine().schedule_after(
+      svc, [this, ep, r = std::move(r), svc]() mutable {
+        if (ep != epoch_) return;
+        complete(std::move(r), svc);
+        process_front();
+      });
 }
 
 std::size_t MdsNode::reset_for_crash(Time now) {
@@ -350,7 +351,7 @@ std::size_t MdsNode::reset_for_crash(Time now) {
 
 void MdsNode::complete(Request r, Time /*svc*/) {
   auto& ns = cluster_.ns();
-  const Time now = cluster_.sim_now();
+  const Time now = cluster_.engine().now();
 
   Reply rep;
   rep.req_id = r.id;
@@ -452,7 +453,7 @@ void MdsNode::complete(Request r, Time /*svc*/) {
 }
 
 HeartbeatPayload MdsNode::measure() {
-  const Time now = cluster_.sim_now();
+  const Time now = cluster_.engine().now();
   const ClusterConfig& cfg = cluster_.config();
   HeartbeatPayload hb;
   hb.rank = rank_;
@@ -490,7 +491,7 @@ HeartbeatPayload MdsNode::measure() {
 
 void MdsNode::tick() {
   obs::ScopedPhase prof(obs::ProfilePhase::ClusterTick);
-  const Time now = cluster_.sim_now();
+  const Time now = cluster_.engine().now();
   const ClusterConfig& cfg = cluster_.config();
 
   // Snapshot the policy's cumulative evaluation cost before any hook
@@ -530,10 +531,7 @@ void MdsNode::tick() {
         delay = static_cast<Time>(static_cast<double>(delay) * f);
       }
       if (nf != nullptr) delay += nf->extra_heartbeat_delay(rank_, p);
-      // Rank-affine delivery: lands on the receiver's shard lane. The
-      // delay is bounded below by hb_delay * (1 - hb_jitter_frac), which
-      // is what caps the sharded runtime's lookahead window.
-      cluster_.sched_rank_after(p, delay, [this, p, me]() {
+      cluster_.engine().schedule_after(delay, [this, p, me]() {
         if (cluster_.is_up(p)) cluster_.node(p).on_heartbeat(me);
       });
     }
@@ -658,7 +656,7 @@ void MdsNode::tick() {
         for (const std::size_t idx : picks) {
           ship.picks.push_back({pool[idx].frag.str(), pool[idx].load,
                                 static_cast<std::uint64_t>(pool[idx].entries)});
-          cluster_.request_export(pool[idx].frag, static_cast<MdsRank>(t),
+          cluster_.export_subtree(pool[idx].frag, static_cast<MdsRank>(t),
                                   tick_span);
         }
         rec.ships.push_back(std::move(ship));
@@ -691,9 +689,6 @@ MdsCluster::MdsCluster(sim::Engine& engine, ClusterConfig cfg)
       // forked from rng_, so arming export retries never shifts the event
       // sequences of fault-free runs.
       retry_rng_(cfg.seed ^ 0x9e3779b97f4a7c15ULL) {
-  // The recorder bumps these itself so that in sharded mode the bump
-  // happens at the (deterministic) epoch drain, not on the shard lane.
-  provenance_.attach_counters(&om_.provenance_records, &om_.provenance_dropped);
   sessions_.resize(static_cast<std::size_t>(cfg_.num_mds));
   life_.resize(static_cast<std::size_t>(cfg_.num_mds), NodeLife::Up);
   crash_epoch_.resize(static_cast<std::size_t>(cfg_.num_mds), 0);
@@ -723,72 +718,11 @@ void MdsCluster::record_provenance(obs::DecisionRecord rec) {
   const int rank = rec.rank;
   const obs::SpanId span = rec.span;
   const std::string digest = rec.digest;
-  provenance_.record(std::move(rec));  // bumps the attached counters
+  (provenance_.record(std::move(rec)) ? om_.provenance_records
+                                      : om_.provenance_dropped)
+      .inc();
   trace_.event(at, obs::EventKind::ProvenanceRecorded, rank, -1, digest, {},
                span);
-}
-
-// ===========================================================================
-// Sharded execution plumbing
-// ===========================================================================
-
-void MdsCluster::attach_shard_runtime(sim::ShardRuntime* rt) {
-  shards_rt_ = rt;
-  tick_rng_.clear();
-  if (rt == nullptr) return;
-  const int shards = rt->num_shards();
-  metrics_.enable_sharding(shards);
-  trace_.enable_sharding(shards);
-  provenance_.enable_sharding(shards);
-  // Derived from the seed but not forked from rng_: arming these streams
-  // must not shift the classic-mode event sequences.
-  tick_rng_.reserve(static_cast<std::size_t>(cfg_.num_mds));
-  for (int r = 0; r < cfg_.num_mds; ++r)
-    tick_rng_.emplace_back(cfg_.seed ^
-                           (0xc2b2ae3d27d4eb4fULL *
-                            (static_cast<std::uint64_t>(r) + 1)));
-}
-
-Time MdsCluster::sim_now() const {
-  return shards_rt_ != nullptr ? shards_rt_->context_now() : engine_.now();
-}
-
-void MdsCluster::sched_after(Time delay, sim::Callback fn) {
-  if (shards_rt_ != nullptr)
-    shards_rt_->post_global_after(delay, std::move(fn));
-  else
-    engine_.schedule_after(delay, std::move(fn));
-}
-
-void MdsCluster::sched_at(Time when, sim::Callback fn) {
-  if (shards_rt_ != nullptr)
-    shards_rt_->post_global_at(when, std::move(fn));
-  else
-    engine_.schedule_at(when, std::move(fn));
-}
-
-void MdsCluster::sched_rank_after(MdsRank rank, Time delay, sim::Callback fn) {
-  if (shards_rt_ != nullptr)
-    shards_rt_->post_shard_after(shards_rt_->shard_of_rank(rank), delay,
-                                 std::move(fn));
-  else
-    engine_.schedule_after(delay, std::move(fn));
-}
-
-void MdsCluster::drain_obs_shards() {
-  trace_.drain_shards();
-  provenance_.drain_shards();
-}
-
-void MdsCluster::request_export(const DirFragId& frag, MdsRank to,
-                                obs::SpanId parent_span) {
-  if (shards_rt_ == nullptr) {
-    export_subtree(frag, to, parent_span);
-    return;
-  }
-  sched_after(0, [this, frag, to, parent_span]() {
-    export_subtree(frag, to, parent_span);
-  });
 }
 
 void MdsCluster::set_balancer(MdsRank rank, std::unique_ptr<Balancer> b) {
@@ -807,29 +741,16 @@ void MdsCluster::set_balancer_all(const BalancerFactory& factory) {
 void MdsCluster::schedule_tick(MdsRank rank) {
   // Daemons drift: each tick lands somewhere inside its jitter window, so
   // the order in which balancers observe and react to each other differs
-  // run to run (seed-dependent), as on a real cluster. The re-arm draw
-  // happens on the rank's own lane in sharded mode, so it uses the rank's
-  // private jitter stream there.
+  // run to run (seed-dependent), as on a real cluster.
   Time when = cfg_.bal_interval + static_cast<Time>(rank) * kMsec;
-  if (cfg_.tick_jitter > 0) {
-    Rng& jr = tick_rng_.empty() ? rng_
-                                : tick_rng_[static_cast<std::size_t>(rank)];
-    when += jr.uniform(0, static_cast<std::uint64_t>(cfg_.tick_jitter));
-  }
-  sched_rank_after(rank, when, [this, rank]() {
+  if (cfg_.tick_jitter > 0)
+    when += rng_.uniform(0, static_cast<std::uint64_t>(cfg_.tick_jitter));
+  engine_.schedule_after(when, [this, rank]() {
     // A down/replaying daemon skips the tick (no heartbeat, no balancing)
     // but the schedule keeps re-arming so it resumes after recovery.
     if (is_up(rank)) {
       node(rank).tick();
-      if (shards_rt_ == nullptr) {
-        flush_dirty(rank);
-      } else {
-        // Writeback touches the shared object store: run it on the
-        // serial lane (same timestamp, epoch-merged order).
-        sched_after(0, [this, rank]() {
-          if (is_up(rank)) flush_dirty(rank);
-        });
-      }
+      flush_dirty(rank);
     }
     schedule_tick(rank);
   });
@@ -841,20 +762,21 @@ void MdsCluster::start() {
 
 void MdsCluster::client_submit(Request r, MdsRank guess) {
   if (guess < 0 || guess >= num_mds()) guess = 0;
-  sched_after(cfg_.net_latency, [this, guess, r = std::move(r)]() mutable {
-    if (!is_up(guess)) {
-      ++requests_dropped_;  // dead host: no reply; client retry recovers
-      om_.requests_dropped.inc();
-      return;
-    }
-    node(guess).on_arrival(std::move(r));
-  });
+  engine_.schedule_after(
+      cfg_.net_latency, [this, guess, r = std::move(r)]() mutable {
+        if (!is_up(guess)) {
+          ++requests_dropped_;  // dead host: no reply; client retry recovers
+          om_.requests_dropped.inc();
+          return;
+        }
+        node(guess).on_arrival(std::move(r));
+      });
 }
 
 void MdsCluster::client_submit_batch(MdsRank guess, std::vector<Request> batch) {
   if (batch.empty()) return;
   if (guess < 0 || guess >= num_mds()) guess = 0;
-  sched_after(
+  engine_.schedule_after(
       cfg_.net_latency, [this, guess, batch = std::move(batch)]() mutable {
         if (!is_up(guess)) {
           requests_dropped_ += batch.size();
@@ -867,14 +789,15 @@ void MdsCluster::client_submit_batch(MdsRank guess, std::vector<Request> batch) 
 }
 
 void MdsCluster::route_to(MdsRank rank, Request r) {
-  sched_after(cfg_.net_latency, [this, rank, r = std::move(r)]() mutable {
-    if (!is_up(rank)) {
-      ++requests_dropped_;
-      om_.requests_dropped.inc();
-      return;
-    }
-    node(rank).on_arrival(std::move(r));
-  });
+  engine_.schedule_after(
+      cfg_.net_latency, [this, rank, r = std::move(r)]() mutable {
+        if (!is_up(rank)) {
+          ++requests_dropped_;
+          om_.requests_dropped.inc();
+          return;
+        }
+        node(rank).on_arrival(std::move(r));
+      });
 }
 
 MdsRank MdsCluster::auth_of(const DirFragId& id) const {
@@ -1062,7 +985,7 @@ bool MdsCluster::export_subtree(const DirFragId& frag, MdsRank to,
     if (frag_contains(frag, m.rec.frag)) return false;
   if (ns_.frag(frag) == nullptr) return false;
 
-  const Time now = sim_now();
+  const Time now = engine_.now();
   const std::size_t entries = subtree_entry_count(frag, from);
 
   ActiveMigration mig;
@@ -1094,7 +1017,7 @@ bool MdsCluster::export_subtree(const DirFragId& frag, MdsRank to,
                {{"entries", static_cast<double>(entries)},
                 {"eta_ms", static_cast<double>(duration) / kMsec}},
                span, parent_span);
-  sched_after(duration, [this, id]() { finish_migration(id); });
+  engine_.schedule_after(duration, [this, id]() { finish_migration(id); });
   // Stuck-export watchdog: a migration still in flight after
   // export_stuck_ticks balance intervals is wedged (in a real cluster:
   // a hung importer, a lost 2PC message). Abort and roll back instead of
@@ -1104,7 +1027,7 @@ bool MdsCluster::export_subtree(const DirFragId& frag, MdsRank to,
     const Time deadline = static_cast<Time>(cfg_.export_stuck_ticks) *
                           cfg_.bal_interval;
     if (deadline <= duration) {
-      sched_after(deadline, [this, id]() {
+      engine_.schedule_after(deadline, [this, id]() {
         if (active_migrations_.count(id) == 0) return;
         om_.exports_timed_out.inc();
         abort_migration(id, kNoRank, "stuck-timeout");
@@ -1122,7 +1045,7 @@ void MdsCluster::finish_migration(std::size_t idx) {
   ActiveMigration mig = std::move(it->second);
   active_migrations_.erase(it);
 
-  const Time now = sim_now();
+  const Time now = engine_.now();
   const MdsRank from = mig.rec.from;
   const MdsRank to = mig.rec.to;
 
@@ -1243,7 +1166,7 @@ Time MdsCluster::replay_duration(MdsRank rank) const {
 void MdsCluster::log_recovery(RecoveryEvent::Kind kind, MdsRank rank,
                               MdsRank peer, std::uint64_t detail,
                               obs::SpanId span) {
-  const Time now = sim_now();
+  const Time now = engine_.now();
   recovery_log_.push_back({now, kind, rank, peer, detail});
   if (span == obs::kNoSpan && rank >= 0 && rank < num_mds())
     span = recovery_span_[static_cast<std::size_t>(rank)];
@@ -1296,7 +1219,7 @@ void MdsCluster::route_or_park(const DirFragId& frag, Request r) {
     route_to(auth, std::move(r));
   } else {
     om_.dead_letter_parked.inc();
-    trace_.event(sim_now(), obs::EventKind::DeadLetterParked, auth, -1,
+    trace_.event(engine_.now(), obs::EventKind::DeadLetterParked, auth, -1,
                  target.str(), {{"req", static_cast<double>(r.id)}}, r.span);
     dead_letter_.emplace_back(target, std::move(r));
   }
@@ -1312,7 +1235,7 @@ void MdsCluster::flush_dead_letters() {
   // timeline is exactly the number of requests still parked (the
   // dead-letter-leak detector counts on this).
   for (auto& [frag, req] : pending) {
-    trace_.event(sim_now(), obs::EventKind::DeadLetterFlushed,
+    trace_.event(engine_.now(), obs::EventKind::DeadLetterFlushed,
                  auth_of(frag), -1, frag.str(),
                  {{"req", static_cast<double>(req.id)}}, req.span);
     route_or_park(frag, std::move(req));
@@ -1325,7 +1248,7 @@ void MdsCluster::abort_migration(std::size_t id, MdsRank dead,
   if (it == active_migrations_.end()) return;
   ActiveMigration mig = std::move(it->second);
   active_migrations_.erase(it);
-  const Time now = sim_now();
+  const Time now = engine_.now();
 
   // Rollback is cheap because authority only flips at commit: the
   // exporter (if alive) still owns the subtree and just journals the
@@ -1392,14 +1315,14 @@ void MdsCluster::schedule_export_retry(const DirFragId& frag, MdsRank to) {
                              static_cast<double>(delay) * jitter),
                          1);
   om_.exports_retried.inc();
-  trace_.event(sim_now(), obs::EventKind::ExportRetry, auth_of(frag), to,
+  trace_.event(engine_.now(), obs::EventKind::ExportRetry, auth_of(frag), to,
                frag.str(),
                {{"attempt", static_cast<double>(attempt + 1)},
                 {"delay_ms", static_cast<double>(delay) / kMsec}});
   MANTLE_LOG_INFO("export retry %d/%d for %s -> mds%d in %lld us",
                   attempt + 1, cfg_.export_retry_max, frag.str().c_str(), to,
                   static_cast<long long>(delay));
-  sched_after(delay, [this, frag, to]() {
+  engine_.schedule_after(delay, [this, frag, to]() {
     // Conditions are re-checked inside export_subtree: the exporter may
     // have lost the subtree, either end may be down, the frag may be
     // frozen by a newer migration. A refused retry re-arms until the
@@ -1422,7 +1345,7 @@ bool MdsCluster::crash_mds(MdsRank rank) {
   // crash case). Only an already-down rank cannot crash further.
   if (life_[idx] == NodeLife::Down) return false;
 
-  const Time now = sim_now();
+  const Time now = engine_.now();
   life_[idx] = NodeLife::Down;
   ++crash_epoch_[idx];
   const std::uint64_t epoch = crash_epoch_[idx];
@@ -1446,7 +1369,7 @@ bool MdsCluster::crash_mds(MdsRank rank) {
       const Time replay = replay_duration(rank);
       log_recovery(RecoveryEvent::Kind::TakeoverStart, rank, survivor,
                    journals_[idx]->live_entries());
-      sched_after(replay, [this, rank, survivor, epoch]() {
+      engine_.schedule_after(replay, [this, rank, survivor, epoch]() {
         const auto i = static_cast<std::size_t>(rank);
         // The rank came back (or crashed again) in the meantime: its own
         // restart replay owns recovery now.
@@ -1466,7 +1389,7 @@ bool MdsCluster::crash_mds(MdsRank rank) {
 }
 
 void MdsCluster::adopt_subtrees(MdsRank from, MdsRank to) {
-  const Time now = sim_now();
+  const Time now = engine_.now();
   for (const DirFragId& root : roots_of(from)) {
     std::vector<DirFragId> stack{root};
     while (!stack.empty()) {
@@ -1499,7 +1422,7 @@ bool MdsCluster::restart_mds(MdsRank rank) {
                journals_[idx]->live_entries());
   MANTLE_LOG_INFO("mds%d restarting: replaying %zu journal entries", rank,
                   journals_[idx]->live_entries());
-  sched_after(replay, [this, rank, epoch]() {
+  engine_.schedule_after(replay, [this, rank, epoch]() {
     const auto i = static_cast<std::size_t>(rank);
     if (crash_epoch_[i] != epoch || life_[i] != NodeLife::Replaying) return;
     life_[i] = NodeLife::Up;
@@ -1527,14 +1450,14 @@ bool MdsCluster::maybe_merge(InodeId dirino) {
     if (is_frozen(id)) return false;
     if (subtree_roots_.count(id) != 0) child_roots.push_back(id);
   }
-  if (!ns_.merge(dirino, frag_t(), sim_now())) return false;
+  if (!ns_.merge(dirino, frag_t(), engine_.now())) return false;
   ns_.frag({dirino, frag_t()})->auth = owner;
   if (!child_roots.empty()) {
     for (const DirFragId& r : child_roots) subtree_roots_.erase(r);
     subtree_roots_[{dirino, frag_t()}] = owner;
   }
   om_.merges.inc();
-  trace_.event(sim_now(), obs::EventKind::DirfragMerge, owner, -1,
+  trace_.event(engine_.now(), obs::EventKind::DirfragMerge, owner, -1,
                DirFragId{dirino, frag_t()}.str());
   MANTLE_LOG_INFO("dirfrag merge: dir %llu back to a single fragment",
                   static_cast<unsigned long long>(dirino));
@@ -1548,14 +1471,15 @@ void MdsCluster::maybe_split(const DirFragId& id) {
   const auto rit = subtree_roots_.find(id);
   const bool was_root = rit != subtree_roots_.end();
   const MdsRank owner = was_root ? rit->second : auth_of(id);
-  const std::vector<frag_t> kids = ns_.split(id, cfg_.split_bits, sim_now());
+  const std::vector<frag_t> kids =
+      ns_.split(id, cfg_.split_bits, engine_.now());
   if (kids.empty()) return;
   if (was_root) {
     subtree_roots_.erase(id);
     for (const frag_t k : kids) subtree_roots_[{id.ino, k}] = owner;
   }
   om_.splits.inc();
-  trace_.event(sim_now(), obs::EventKind::DirfragSplit, owner, -1,
+  trace_.event(engine_.now(), obs::EventKind::DirfragSplit, owner, -1,
                id.str(), {{"fragments", static_cast<double>(kids.size())}});
   MANTLE_LOG_INFO("dirfrag split %s into %zu fragments", id.str().c_str(),
                   kids.size());
@@ -1564,7 +1488,7 @@ void MdsCluster::maybe_split(const DirFragId& id) {
 void MdsCluster::flush_dirty(MdsRank rank) {
   // Periodic dirty-dirfrag writeback: each flush is a STORE on the frag
   // (feeding the `store` term of the metaload) and an omap write.
-  const Time now = sim_now();
+  const Time now = engine_.now();
   for (const DirFragId& root : roots_of(rank)) {
     std::vector<DirFragId> stack{root};
     while (!stack.empty()) {
@@ -1611,7 +1535,7 @@ void MdsCluster::reparent_subtree(InodeId dir, MdsRank from, MdsRank to) {
 
 std::size_t MdsCluster::flush_client_sessions(MdsRank a, MdsRank b) {
   if (a < 0 || b < 0 || a >= num_mds() || b >= num_mds()) return 0;
-  const Time stall_until = sim_now() + cfg_.session_flush_stall;
+  const Time stall_until = engine_.now() + cfg_.session_flush_stall;
   // Union of the two ranks' session lists without materializing a set:
   // a generation stamp marks ids already counted in this flush.
   ++flush_gen_;
@@ -1638,14 +1562,15 @@ void MdsCluster::deliver_reply(Reply rep) {
   if (rep.finished_at >= rep.issued_at)
     om_.request_latency_ms.observe(
         static_cast<double>(rep.finished_at - rep.issued_at) / kMsec);
-  Time when = sim_now() + cfg_.net_latency;
+  Time when = engine_.now() + cfg_.net_latency;
   if (rep.client >= 0) {
     const auto id = static_cast<std::size_t>(rep.client);
     if (id < client_stall_until_.size() && client_stall_until_[id] > when)
       when = client_stall_until_[id];
   }
   if (reply_cb_) {
-    sched_at(when, [this, rep = std::move(rep)]() { reply_cb_(rep); });
+    engine_.schedule_at(when,
+                        [this, rep = std::move(rep)]() { reply_cb_(rep); });
   }
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <map>
@@ -28,10 +27,6 @@
 /// recv HB / rebalance / fragment / partition cluster / partition
 /// namespace / migrate"); the policy decisions are delegated to a
 /// per-node Balancer (either the hard-coded CephFS one or Mantle).
-
-namespace mantle::sim {
-class ShardRuntime;
-}
 
 namespace mantle::cluster {
 
@@ -152,19 +147,6 @@ struct ClusterConfig {
   /// full table, so cross-run comparisons keep working at 512 ranks
   /// without each record costing O(ranks) memory.
   std::size_t provenance_max_ranks = 64;
-
-  // -- parallel execution ------------------------------------------------------
-  /// Rank shards for the parallel engine (0 = classic single-engine
-  /// mode; rank r lives on shard r % shards). Part of the *schedule*:
-  /// changing it changes the (still deterministic) event interleaving,
-  /// so it belongs in the config and the obs dump digest. The worker
-  /// thread count deliberately does NOT live here — it must never be
-  /// able to change output.
-  int shards = 0;
-  /// Epoch lookahead window of the sharded engine, simulated
-  /// microseconds. Must not exceed the minimum cross-shard (heartbeat)
-  /// latency. 0 = auto: min(50ms, hb_delay * (1 - hb_jitter_frac)).
-  Time lookahead = 0;
 };
 
 enum class OpType { Create, Mkdir, Getattr, Lookup, Readdir, Unlink, Rename };
@@ -409,35 +391,12 @@ class MdsCluster {
  public:
   MdsCluster(sim::Engine& engine, ClusterConfig cfg);
 
+  /// The one event engine every cluster event, client and fault runs on:
+  /// read the clock with engine().now() and schedule with
+  /// engine().schedule_after()/schedule_at().
   sim::Engine& engine() { return engine_; }
   const ClusterConfig& config() const { return cfg_; }
 
-  // -- Sharded execution --------------------------------------------------------
-  /// Wire the cluster to a sharded runtime: enables per-shard lanes on
-  /// the metrics/trace/provenance sinks and builds the per-rank
-  /// tick-jitter rng streams. Call before start(); nullptr detaches.
-  /// The cluster must have been constructed on the runtime's global()
-  /// engine.
-  void attach_shard_runtime(sim::ShardRuntime* rt);
-  sim::ShardRuntime* shard_runtime() const { return shards_rt_; }
-
-  /// Clock of the calling lane: during phase A this is the running shard
-  /// engine's clock, otherwise the serial engine's. All cluster event
-  /// code uses this instead of engine().now().
-  Time sim_now() const;
-  /// Schedule onto the serial (global) lane — every shared-state
-  /// mutation goes through here. From a shard lane the event is routed
-  /// via the epoch mailbox; classic mode schedules directly.
-  void sched_after(Time delay, sim::Callback fn);
-  void sched_at(Time when, sim::Callback fn);
-  /// Schedule a rank-affine event (balancer tick, heartbeat delivery)
-  /// onto `rank`'s lane: its shard engine in sharded mode, else the
-  /// classic engine.
-  void sched_rank_after(MdsRank rank, Time delay, sim::Callback fn);
-  /// Fold the per-shard trace/provenance buffers into the serial sinks
-  /// in fixed shard order. The shard runtime calls this at every epoch
-  /// barrier (set_epoch_drain).
-  void drain_obs_shards();
   mantle::mds::Namespace& ns() { return ns_; }
   const mantle::mds::Namespace& ns() const { return ns_; }
   store::ObjectStore& object_store() { return store_; }
@@ -560,14 +519,6 @@ class MdsCluster {
   bool export_subtree(const DirFragId& frag, MdsRank to,
                       obs::SpanId parent_span = obs::kNoSpan);
 
-  /// Order an export from a balancer tick. In sharded mode the tick runs
-  /// on a shard lane while 2PC/journal state is serial, so the export is
-  /// deferred to the global lane; same-epoch picks from two ranks that
-  /// overlap are refused there deterministically by export_subtree's
-  /// re-checks (frozen / authority moved). Classic mode exports inline.
-  void request_export(const DirFragId& frag, MdsRank to,
-                      obs::SpanId parent_span);
-
   /// Forward a request to another MDS (one network hop).
   void route_to(MdsRank rank, Request r);
 
@@ -615,9 +566,7 @@ class MdsCluster {
   /// Requests currently parked on down subtrees (must drain at quiesce).
   std::size_t dead_letter_size() const { return dead_letter_.size(); }
   /// Heartbeats rejected by the stale-epoch/ordering guard.
-  std::uint64_t stale_heartbeats_rejected() const {
-    return hb_stale_rejected_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t stale_heartbeats_rejected() const { return hb_stale_rejected_; }
   const std::vector<MigrationRecord>& migrations() const { return migrations_; }
   /// Exports that aborted mid-2PC because one end died (finished = abort time).
   const std::vector<MigrationRecord>& aborted_migrations() const {
@@ -702,17 +651,7 @@ class MdsCluster {
   /// so arming retries never perturbs the main rng's event sequence.
   std::map<DirFragId, int> export_retry_attempts_;
   Rng retry_rng_;
-  /// Bumped from the heartbeat-delivery path, which runs on shard lanes
-  /// concurrently in sharded mode (rare path: atomic, not a shard cell).
-  std::atomic<std::uint64_t> hb_stale_rejected_{0};
-
-  // -- sharded execution -------------------------------------------------------
-  sim::ShardRuntime* shards_rt_ = nullptr;
-  /// Per-rank tick-jitter streams for sharded mode: the tick re-arm draw
-  /// happens on the rank's shard lane and cannot share the cluster rng.
-  /// Empty in classic mode (which keeps drawing from rng_, so classic
-  /// event sequences are untouched by this feature).
-  std::vector<Rng> tick_rng_;
+  std::uint64_t hb_stale_rejected_ = 0;
 
   std::vector<SessionTable> sessions_;     // per-rank client sessions (dense)
   std::vector<Time> client_stall_until_;   // session-flush stall, by client id

@@ -11,18 +11,6 @@ void FaultInjector::arm(cluster::MdsCluster& cluster) {
   cluster_ = &cluster;
   cluster.set_network_faults(this);
 
-  if (cluster.shard_runtime() != nullptr) {
-    // Sharded engine: heartbeat hooks fire from phase-A workers. Build
-    // one lane per sending rank, each with a seed derived from the plan
-    // seed alone so the stream is independent of shard/thread count.
-    lanes_.reserve(static_cast<std::size_t>(cluster.num_mds()));
-    for (MdsRank r = 0; r < cluster.num_mds(); ++r) {
-      lanes_.emplace_back(plan_.seed ^
-                          (0x9e3779b97f4a7c15ULL *
-                           (static_cast<std::uint64_t>(r) + 1)));
-    }
-  }
-
   if (plan_.store_fail_prob > 0.0) {
     // The store hook consumes a dedicated rng fork so that store-op volume
     // (which varies wildly with workload) does not perturb the heartbeat
@@ -38,7 +26,7 @@ void FaultInjector::arm(cluster::MdsCluster& cluster) {
   }
 
   for (const CrashEvent& c : plan_.crashes) {
-    cluster.sched_at(c.at, [this, c]() {
+    cluster.engine().schedule_at(c.at, [this, c]() {
       if (cluster_->crash_mds(c.rank)) {
         ++counters_.crashes;
         note_fault("crash", c.rank);
@@ -46,7 +34,7 @@ void FaultInjector::arm(cluster::MdsCluster& cluster) {
     });
   }
   for (const RestartEvent& r : plan_.restarts) {
-    cluster.sched_at(r.at, [this, r]() {
+    cluster.engine().schedule_at(r.at, [this, r]() {
       if (cluster_->restart_mds(r.rank)) {
         ++counters_.restarts;
         note_fault("restart", r.rank);
@@ -55,66 +43,43 @@ void FaultInjector::arm(cluster::MdsCluster& cluster) {
   }
 }
 
-const FaultCounters& FaultInjector::counters() const {
-  if (lanes_.empty()) return counters_;
-  folded_ = counters_;  // crashes/restarts/store_faults live serially here
-  for (const SenderLane& lane : lanes_) {
-    folded_.hb_dropped += lane.counters.hb_dropped;
-    folded_.hb_duplicated += lane.counters.hb_duplicated;
-    folded_.hb_delayed += lane.counters.hb_delayed;
-  }
-  return folded_;
-}
-
-Rng& FaultInjector::hb_rng(MdsRank from) {
-  if (lanes_.empty()) return rng_;
-  return lanes_[static_cast<std::size_t>(from)].rng;
-}
-
-FaultCounters& FaultInjector::hb_counters(MdsRank from) {
-  if (lanes_.empty()) return counters_;
-  return lanes_[static_cast<std::size_t>(from)].counters;
-}
-
 void FaultInjector::note_fault(const char* what, MdsRank rank) {
   if (cluster_ == nullptr) return;
   cluster_->metrics()
       .counter("faults_injected_total", "faults the injector actually fired")
       .inc();
-  cluster_->trace().event(cluster_->sim_now(),
+  cluster_->trace().event(cluster_->engine().now(),
                           obs::EventKind::FaultInjected, rank, -1, what);
 }
 
 bool FaultInjector::store_faults_active() const {
-  const Time now = cluster_->sim_now();
+  const Time now = cluster_->engine().now();
   if (now < plan_.store_fail_from) return false;
   return plan_.store_fail_until == 0 || now < plan_.store_fail_until;
 }
 
-bool FaultInjector::drop_heartbeat(MdsRank from, MdsRank) {
-  if (plan_.hb_drop_prob <= 0.0 ||
-      hb_rng(from).next_double() >= plan_.hb_drop_prob)
+bool FaultInjector::drop_heartbeat(MdsRank, MdsRank) {
+  if (plan_.hb_drop_prob <= 0.0 || rng_.next_double() >= plan_.hb_drop_prob)
     return false;
-  ++hb_counters(from).hb_dropped;
+  ++counters_.hb_dropped;
   return true;
 }
 
-bool FaultInjector::duplicate_heartbeat(MdsRank from, MdsRank) {
+bool FaultInjector::duplicate_heartbeat(MdsRank, MdsRank) {
   if (plan_.hb_duplicate_prob <= 0.0 ||
-      hb_rng(from).next_double() >= plan_.hb_duplicate_prob)
+      rng_.next_double() >= plan_.hb_duplicate_prob)
     return false;
-  ++hb_counters(from).hb_duplicated;
+  ++counters_.hb_duplicated;
   return true;
 }
 
-Time FaultInjector::extra_heartbeat_delay(MdsRank from, MdsRank) {
+Time FaultInjector::extra_heartbeat_delay(MdsRank, MdsRank) {
   if (plan_.hb_delay_prob <= 0.0 || plan_.hb_delay_max <= 0 ||
-      hb_rng(from).next_double() >= plan_.hb_delay_prob)
+      rng_.next_double() >= plan_.hb_delay_prob)
     return 0;
-  Rng& r = hb_rng(from);
-  ++hb_counters(from).hb_delayed;
+  ++counters_.hb_delayed;
   return 1 + static_cast<Time>(
-                 r.next_double() *
+                 rng_.next_double() *
                  static_cast<double>(plan_.hb_delay_max - 1));
 }
 

@@ -79,9 +79,8 @@ class FaultInjector : public cluster::NetworkFaults {
   void arm(cluster::MdsCluster& cluster);
 
   const FaultPlan& plan() const { return plan_; }
-  /// Aggregate view of everything fired so far. In sharded mode the
-  /// heartbeat tallies are folded from the per-sender lanes.
-  const FaultCounters& counters() const;
+  /// Everything fired so far.
+  const FaultCounters& counters() const { return counters_; }
 
   // -- NetworkFaults ---------------------------------------------------------
   bool drop_heartbeat(MdsRank from, MdsRank to) override;
@@ -89,21 +88,6 @@ class FaultInjector : public cluster::NetworkFaults {
   Time extra_heartbeat_delay(MdsRank from, MdsRank to) override;
 
  private:
-  /// One independent heartbeat-fault stream per sending rank. Under the
-  /// sharded engine the NetworkFaults hooks run concurrently from phase-A
-  /// worker threads, but always on the sender's own shard — giving each
-  /// sender its own rng and counters makes the hooks race-free *and*
-  /// makes the fault sequence a function of the plan alone, independent
-  /// of shard/thread count (a shared stream would interleave draws in
-  /// schedule order, which sharding changes).
-  struct alignas(64) SenderLane {
-    explicit SenderLane(std::uint64_t seed) noexcept : rng(seed) {}
-    Rng rng;
-    FaultCounters counters;
-  };
-
-  Rng& hb_rng(MdsRank from);
-  FaultCounters& hb_counters(MdsRank from);
   bool store_faults_active() const;
   /// Record one fired fault in the cluster's metrics + trace timeline.
   void note_fault(const char* what, MdsRank rank);
@@ -111,8 +95,6 @@ class FaultInjector : public cluster::NetworkFaults {
   FaultPlan plan_;
   Rng rng_;
   FaultCounters counters_;
-  std::vector<SenderLane> lanes_;       // non-empty only in sharded mode
-  mutable FaultCounters folded_;        // counters() scratch when sharded
   cluster::MdsCluster* cluster_ = nullptr;
 };
 

@@ -98,26 +98,7 @@ void Histogram::observe(double x) noexcept {
   while (i < bounds_.size() && x > bounds_[i]) ++i;
   buckets_[i].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
-  if (sum_cells_ != nullptr) {
-    const int s = lane_shard();
-    if (s >= 0 && s < num_cells_) {
-      sum_cells_[s].v.fetch_add(x, std::memory_order_relaxed);
-      return;
-    }
-  }
   sum_.fetch_add(x, std::memory_order_relaxed);
-}
-
-void Histogram::enable_sharding(int shards) {
-  if (shards <= 0 || num_cells_ >= shards) return;
-  sum_cells_ = std::make_unique<SumCell[]>(static_cast<std::size_t>(shards));
-  num_cells_ = shards;
-}
-
-void Counter::enable_sharding(int shards) {
-  if (shards <= 0 || num_cells_ >= shards) return;
-  cells_ = std::make_unique<CounterCell[]>(static_cast<std::size_t>(shards));
-  num_cells_ = shards;
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
@@ -174,16 +155,6 @@ std::vector<double> lua_steps() {
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
-void MetricsRegistry::enable_sharding(int shards) {
-  std::lock_guard<std::mutex> lk(mu_);
-  shards_ = shards;
-  for (auto& [name, e] : entries_) {
-    (void)name;
-    if (e.counter) e.counter->enable_sharding(shards);
-    if (e.histogram) e.histogram->enable_sharding(shards);
-  }
-}
-
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const std::string& help) {
   std::lock_guard<std::mutex> lk(mu_);
@@ -193,7 +164,6 @@ Counter& MetricsRegistry::counter(const std::string& name,
     e.kind = Kind::kCounter;
     e.help = help;
     e.counter = std::make_unique<Counter>();
-    if (shards_ > 0) e.counter->enable_sharding(shards_);
     it = entries_.emplace(name, std::move(e)).first;
   } else if (it->second.kind != Kind::kCounter) {
     note_collision_locked();
@@ -229,7 +199,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
     e.kind = Kind::kHistogram;
     e.help = help;
     e.histogram = std::make_unique<Histogram>(std::move(bounds));
-    if (shards_ > 0) e.histogram->enable_sharding(shards_);
     it = entries_.emplace(name, std::move(e)).first;
   } else if (it->second.kind != Kind::kHistogram) {
     note_collision_locked();

@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/lane.hpp"
-
 /// \file metrics.hpp
 /// The metrics half of the observability layer: a registry of named
 /// counters, gauges and fixed-bucket histograms with Prometheus-text and
@@ -23,55 +21,21 @@
 /// numbers with a fixed printf recipe, so a single-threaded simulator
 /// run produces byte-identical snapshots for identical (seed, config)
 /// inputs — the property the reproducibility suite asserts.
-///
-/// Sharded mode (sim/shard.hpp): MetricsRegistry::enable_sharding(S)
-/// gives every counter and histogram S cache-line-padded per-shard cells.
-/// Hot-path increments from a shard lane (obs/lane.hpp) land in the
-/// caller's private cell — no shared-line contention between worker
-/// threads — and exports fold base + cells in fixed shard order, so the
-/// merged value is independent of the thread count K. Gauges are only
-/// ever written from the serial lane (the shard runtime and the global
-/// event lane), so they need no cells.
 
 namespace mantle::obs {
-
-/// One cache line per shard so neighbouring shards' increments never
-/// false-share.
-struct alignas(64) CounterCell {
-  std::atomic<std::uint64_t> v{0};
-};
-struct alignas(64) SumCell {
-  std::atomic<double> v{0.0};
-};
 
 /// Monotonically increasing event count.
 class Counter {
  public:
   void inc(std::uint64_t delta = 1) noexcept {
-    if (cells_ != nullptr) {
-      const int s = lane_shard();
-      if (s >= 0 && s < num_cells_) {
-        cells_[s].v.fetch_add(delta, std::memory_order_relaxed);
-        return;
-      }
-    }
     v_.fetch_add(delta, std::memory_order_relaxed);
   }
   std::uint64_t value() const noexcept {
-    std::uint64_t total = v_.load(std::memory_order_relaxed);
-    for (int i = 0; i < num_cells_; ++i)
-      total += cells_[i].v.load(std::memory_order_relaxed);
-    return total;
+    return v_.load(std::memory_order_relaxed);
   }
-
-  /// Allocate per-shard cells. Must be called before worker threads
-  /// exist (the shard runtime does this at scenario setup).
-  void enable_sharding(int shards);
 
  private:
   std::atomic<std::uint64_t> v_{0};
-  std::unique_ptr<CounterCell[]> cells_;
-  int num_cells_ = 0;
 };
 
 /// A value that can go up and down (queue depth, simulated clock, ...).
@@ -101,16 +65,7 @@ class Histogram {
   std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
   }
-  /// Base sum plus per-shard sums folded in fixed shard order. Bucket
-  /// and count totals are integer sums and therefore order-independent,
-  /// but floating-point addition is not associative — the fixed fold
-  /// order is what keeps the exported _sum byte-identical for any K.
-  double sum() const noexcept {
-    double total = sum_.load(std::memory_order_relaxed);
-    for (int i = 0; i < num_cells_; ++i)
-      total += sum_cells_[i].v.load(std::memory_order_relaxed);
-    return total;
-  }
+  double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
   const std::vector<double>& bounds() const noexcept { return bounds_; }
   /// Per-bucket (non-cumulative) counts; index bounds_.size() is +Inf.
   std::vector<std::uint64_t> bucket_counts() const;
@@ -119,16 +74,11 @@ class Histogram {
   /// the bucket holding the target rank — see estimate_quantile().
   double quantile(double q) const;
 
-  /// Allocate per-shard sum cells (see Counter::enable_sharding).
-  void enable_sharding(int shards);
-
  private:
   std::vector<double> bounds_;                       // sorted ascending
   std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds_.size() + 1
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  std::unique_ptr<SumCell[]> sum_cells_;
-  int num_cells_ = 0;
 };
 
 /// Common bucket layouts used across the instrumentation.
@@ -162,11 +112,6 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name, std::vector<double> bounds,
                        const std::string& help = "");
 
-  /// Switch every registered (and future) counter/histogram to
-  /// per-shard cells. Called once at scenario setup by the shard
-  /// runtime, before any worker thread exists.
-  void enable_sharding(int shards);
-
   /// Names of all registered counters (name order) — the lint surface for
   /// the `_total` suffix convention.
   std::vector<std::string> counter_names() const;
@@ -194,7 +139,6 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;  // name-ordered => stable exports
-  int shards_ = 0;  // 0 = classic serial mode; >0 shards new entries too
 };
 
 /// Deterministic number formatting shared by both exporters: integers

@@ -151,49 +151,14 @@ std::string DecisionRecord::to_json() const {
   return out;
 }
 
-void ProvenanceRecorder::attach_counters(Counter* recorded, Counter* dropped) {
+bool ProvenanceRecorder::record(DecisionRecord rec) {
   std::lock_guard<std::mutex> lock(mu_);
-  c_recorded_ = recorded;
-  c_dropped_ = dropped;
-}
-
-void ProvenanceRecorder::enable_sharding(int shards) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (shards > 0 && lanes_.size() < static_cast<std::size_t>(shards))
-    lanes_.resize(static_cast<std::size_t>(shards));
-}
-
-bool ProvenanceRecorder::store_locked(DecisionRecord rec) {
   if (records_.size() >= capacity_) {
     ++dropped_;
-    if (c_dropped_ != nullptr) c_dropped_->inc();
     return false;
   }
   records_.push_back(std::move(rec));
-  if (c_recorded_ != nullptr) c_recorded_->inc();
   return true;
-}
-
-void ProvenanceRecorder::drain_shards() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (ShardLane& lane : lanes_) {
-    for (DecisionRecord& rec : lane.buffer) store_locked(std::move(rec));
-    lane.buffer.clear();
-  }
-}
-
-bool ProvenanceRecorder::record(DecisionRecord rec) {
-  if (!lanes_.empty()) {
-    const int s = lane_shard();
-    if (s >= 0 && s < static_cast<int>(lanes_.size())) {
-      // Shard lane: one thread per shard, no lock; accept/drop and the
-      // counter bumps happen in canonical order at drain_shards().
-      lanes_[static_cast<std::size_t>(s)].buffer.push_back(std::move(rec));
-      return true;
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  return store_locked(std::move(rec));
 }
 
 std::vector<DecisionRecord> ProvenanceRecorder::snapshot() const {
@@ -215,7 +180,6 @@ void ProvenanceRecorder::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   records_.clear();
   dropped_ = 0;
-  for (ShardLane& lane : lanes_) lane.buffer.clear();
 }
 
 std::string ProvenanceRecorder::to_json() const {

@@ -95,23 +95,7 @@ class ProvenanceRecorder {
   explicit ProvenanceRecorder(std::size_t capacity = 4096)
       : capacity_(capacity) {}
 
-  /// Optional stored/dropped counters, bumped exactly when a record is
-  /// accepted into / rejected from the bounded store. Owned by the
-  /// recorder (not the call site) so that in sharded mode the bump can
-  /// happen at drain time, where the capacity decision is made in
-  /// canonical merge order.
-  void attach_counters(class Counter* recorded, class Counter* dropped);
-
-  /// Sharded mode: buffer records from shard lanes (obs/lane.hpp) in
-  /// private per-shard buffers; drain_shards() folds them into the
-  /// bounded store in fixed shard order, applying the capacity bound
-  /// and counter bumps there. Mirrors TraceSink::enable_sharding.
-  void enable_sharding(int shards);
-  void drain_shards();
-
-  /// Returns false when the record was dropped (capacity reached). In
-  /// sharded mode, records from shard lanes are buffered and always
-  /// return true here; the real accept/drop decision happens at drain.
+  /// Returns false when the record was dropped (capacity reached).
   bool record(DecisionRecord rec);
 
   std::vector<DecisionRecord> snapshot() const;
@@ -123,19 +107,10 @@ class ProvenanceRecorder {
   std::string to_json() const;
 
  private:
-  struct alignas(64) ShardLane {
-    std::vector<DecisionRecord> buffer;
-  };
-
-  bool store_locked(DecisionRecord rec);
-
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::vector<DecisionRecord> records_;
   std::uint64_t dropped_ = 0;
-  std::vector<ShardLane> lanes_;
-  class Counter* c_recorded_ = nullptr;
-  class Counter* c_dropped_ = nullptr;
 };
 
 /// Parse a `*-provenance.json` dump (the exact format

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/lane.hpp"
 #include "obs/metrics.hpp"  // format_metric_value
 #include "obs/profile.hpp"
 
@@ -70,37 +69,7 @@ std::string json_escape(const std::string& s) {
 
 }  // namespace
 
-void TraceSink::enable_sharding(int shards) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (shards > 0 && lanes_.size() < static_cast<std::size_t>(shards))
-    lanes_.resize(static_cast<std::size_t>(shards));
-}
-
-void TraceSink::drain_shards() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (ShardLane& lane : lanes_) {
-    for (TraceEvent& ev : lane.buffer) {
-      if (events_.size() >= capacity_) {
-        ++dropped_;
-        continue;
-      }
-      events_.push_back(std::move(ev));
-    }
-    lane.buffer.clear();
-  }
-}
-
 void TraceSink::record(TraceEvent ev) {
-  if (!lanes_.empty()) {
-    const int s = lane_shard();
-    if (s >= 0 && s < static_cast<int>(lanes_.size())) {
-      // Shard lane: private buffer, one thread per shard, no lock. The
-      // capacity bound is applied at drain time so dropped accounting
-      // follows the canonical merge order, not thread interleaving.
-      lanes_[static_cast<std::size_t>(s)].buffer.push_back(std::move(ev));
-      return;
-    }
-  }
   std::lock_guard<std::mutex> lk(mu_);
   if (events_.size() >= capacity_) {
     ++dropped_;
@@ -127,24 +96,13 @@ void TraceSink::event(
 }
 
 SpanId TraceSink::next_span() {
-  if (!lanes_.empty()) {
-    const int s = lane_shard();
-    if (s >= 0 && s < static_cast<int>(lanes_.size())) {
-      // Disjoint per-shard id range: no lock, no cross-shard ordering.
-      const std::uint64_t n = ++lanes_[static_cast<std::size_t>(s)].spans;
-      return static_cast<SpanId>(
-          (static_cast<std::uint64_t>(s + 1) << 44) | n);
-    }
-  }
   std::lock_guard<std::mutex> lk(mu_);
   return static_cast<SpanId>(++next_span_);
 }
 
 std::uint64_t TraceSink::spans_allocated() const {
   std::lock_guard<std::mutex> lk(mu_);
-  std::uint64_t total = next_span_;
-  for (const ShardLane& lane : lanes_) total += lane.spans;
-  return total;
+  return next_span_;
 }
 
 std::size_t TraceSink::size() const {
@@ -167,10 +125,6 @@ void TraceSink::clear() {
   events_.clear();
   dropped_ = 0;
   next_span_ = 0;
-  for (ShardLane& lane : lanes_) {
-    lane.buffer.clear();
-    lane.spans = 0;
-  }
 }
 
 std::string TraceSink::to_json() const {

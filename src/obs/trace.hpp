@@ -97,22 +97,6 @@ class TraceSink {
   explicit TraceSink(std::size_t capacity = std::size_t{1} << 20)
       : capacity_(capacity) {}
 
-  /// Sharded mode: give each shard lane a private event buffer and a
-  /// private span-id stream. Events recorded from shard lanes are
-  /// buffered lock-free (one thread per shard) and folded into the main
-  /// timeline by drain_shards() — called by the shard runtime at every
-  /// epoch barrier, in fixed shard order, with the capacity bound and
-  /// dropped accounting applied at drain time. That makes the stored
-  /// timeline a pure function of the (config, seed, shard count)
-  /// schedule, independent of how many worker threads ran it.
-  ///
-  /// Shard span ids live in disjoint ranges — shard s allocates
-  /// ((s+1) << 44) | n — so they never collide with the serial-lane
-  /// stream and stay deterministic without cross-shard coordination.
-  void enable_sharding(int shards);
-  /// Fold all shard buffers into the timeline (fixed shard order).
-  void drain_shards();
-
   void record(TraceEvent ev);
 
   /// Convenience builder for call sites.
@@ -151,17 +135,11 @@ class TraceSink {
   void clear();
 
  private:
-  struct alignas(64) ShardLane {  // padded: lanes are written concurrently
-    std::vector<TraceEvent> buffer;
-    std::uint64_t spans = 0;  // local span counter for this shard's stream
-  };
-
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::vector<TraceEvent> events_;
   std::uint64_t dropped_ = 0;
   std::uint64_t next_span_ = 0;
-  std::vector<ShardLane> lanes_;  // empty in classic serial mode
 };
 
 }  // namespace mantle::obs

@@ -33,14 +33,14 @@ Client::Client(int id, cluster::MdsCluster& cluster,
 
 Time Client::runtime() const {
   if (!started_) return 0;
-  const Time end = done_ ? finished_at_ : cluster_.sim_now();
+  const Time end = done_ ? finished_at_ : cluster_.engine().now();
   return end > started_at_ ? end - started_at_ : 0;
 }
 
 void Client::start() {
   if (started_) return;
   started_ = true;
-  started_at_ = cluster_.sim_now();
+  started_at_ = cluster_.engine().now();
   issue_next();
 }
 
@@ -48,7 +48,7 @@ void Client::issue_next() {
   std::optional<WorkOp> op = workload_->next(rng_);
   if (!op) {
     done_ = true;
-    finished_at_ = cluster_.sim_now();
+    finished_at_ = cluster_.engine().now();
     return;
   }
 
@@ -57,7 +57,7 @@ void Client::issue_next() {
     // The target directory does not exist (workload ordering bug or a
     // failed earlier mkdir): count it and move on without a round trip.
     ++ops_failed_;
-    cluster_.sched_after(1, [this]() { issue_next(); });
+    cluster_.engine().schedule_after(1, [this]() { issue_next(); });
     return;
   }
 
@@ -70,13 +70,13 @@ void Client::issue_next() {
   // Root causal span for the op: forwards carry the same Request, and
   // retries copy pending_, so the span survives both under fresh req ids.
   r.span = cluster_.trace().next_span();
-  r.issued_at = cluster_.sim_now();
+  r.issued_at = cluster_.engine().now();
 
   if (op->op == cluster::OpType::Rename) {
     const auto dst = cluster_.ns().resolve(op->dst_dir_path);
     if (!dst.found || !dst.is_dir) {
       ++ops_failed_;
-      cluster_.sched_after(1, [this]() { issue_next(); });
+      cluster_.engine().schedule_after(1, [this]() { issue_next(); });
       return;
     }
     r.dst_dir = dst.ino;
@@ -117,7 +117,7 @@ void Client::submit(Request r, MdsRank guess) {
 
 void Client::arm_timeout() {
   const std::uint64_t tok = timer_token_;
-  cluster_.sched_after(backoff_, [this, tok]() {
+  cluster_.engine().schedule_after(backoff_, [this, tok]() {
     if (tok != timer_token_ || !waiting_) return;
     if (retry_.max_attempts > 0 && attempt_ >= retry_.max_attempts) {
       // Out of attempts: report failure so the workload can move on.
@@ -144,7 +144,7 @@ void Client::arm_timeout() {
 }
 
 void Client::finish_op(bool ok, Time started) {
-  const Time now = cluster_.sim_now();
+  const Time now = cluster_.engine().now();
   latencies_.add(to_seconds(now - started) * 1e3);
   if (ok)
     ++ops_completed_;
@@ -154,7 +154,7 @@ void Client::finish_op(bool ok, Time started) {
   if (think == 0) {
     issue_next();
   } else {
-    cluster_.sched_after(think, [this]() { issue_next(); });
+    cluster_.engine().schedule_after(think, [this]() { issue_next(); });
   }
 }
 

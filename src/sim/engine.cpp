@@ -144,12 +144,6 @@ void Engine::set_metrics(obs::MetricsRegistry* reg) {
                                        "event-arena memory reserved");
 }
 
-Time Engine::next_when() {
-  if (bottom_.empty()) refill();
-  if (bottom_.empty()) return kTimeMax;
-  return pool_[bottom_.back()].when;
-}
-
 std::uint64_t Engine::run_until(Time horizon) {
   obs::ScopedPhase prof(obs::ProfilePhase::EngineDispatch);
   std::uint64_t dispatched = 0;

@@ -34,6 +34,10 @@
 /// Callbacks are `sim::Callback`: a move-only type-erased function with
 /// 48 bytes of inline storage (heap fallback for oversized captures), so
 /// the common `[this]`-style continuations never touch the allocator.
+///
+/// This is the simulator's only engine. The cluster, clients, populations
+/// and fault injectors all schedule onto one queue and read one clock, so
+/// every run has exactly one (when, seq) dispatch order.
 
 namespace mantle::sim {
 
@@ -246,13 +250,6 @@ class Engine {
   /// Drain everything (no horizon).
   std::uint64_t run() { return run_until(kTimeMax); }
 
-  /// Timestamp of the earliest pending event, or kTimeMax when empty.
-  /// Non-const: peeking may pull the next batch down into the bottom
-  /// tier (the same refill run_until would do — deterministic and
-  /// order-preserving, just earlier). The conservative epoch scheduler
-  /// uses this to pick each epoch's base time.
-  Time next_when();
-
   bool empty() const { return size_ == 0; }
   std::size_t pending() const { return size_; }
 
@@ -267,12 +264,6 @@ class Engine {
   /// counter and clock/queue gauges fresh. Caller keeps ownership;
   /// nullptr detaches.
   void set_metrics(obs::MetricsRegistry* reg);
-
-  /// Counter-only attachment for sharded mode: per-shard engines bump
-  /// the shared dispatched counter (whose per-shard cells make that
-  /// contention-free) but leave the clock/queue gauges to the shard
-  /// runtime, which writes them serially at each epoch barrier.
-  void set_dispatch_counter(obs::Counter* c) { m_dispatched_ = c; }
 
  private:
   /// One rung of the ladder: an array of buckets of width `width` ticks

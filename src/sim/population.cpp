@@ -82,7 +82,7 @@ void ClientPopulation::bootstrap_dirs() {
   // Admin setup, not workload: the flow directories are created directly
   // in the namespace (no requests, no heat), like a pre-existing tree.
   auto& ns = cluster_.ns();
-  const Time now = cluster_.sim_now();
+  const Time now = cluster_.engine().now();
   for (Flow& f : flows_) {
     mds::InodeId cur = ns.root();
     std::size_t pos = 0;
@@ -104,7 +104,7 @@ void ClientPopulation::bootstrap_dirs() {
 void ClientPopulation::start() {
   if (started_) return;
   started_ = true;
-  started_at_ = cluster_.sim_now();
+  started_at_ = cluster_.engine().now();
   window_end_ = started_at_ + cfg_.duration;
   window_open_ = true;
   bootstrap_dirs();
@@ -112,9 +112,8 @@ void ClientPopulation::start() {
 }
 
 std::uint64_t ClientPopulation::sample_arrivals() {
-  const double lambda =
-      cfg_.sim_rate * to_seconds(std::min(cfg_.tick, window_end_ -
-                                                        cluster_.sim_now()));
+  const Time left = window_end_ - cluster_.engine().now();
+  const double lambda = cfg_.sim_rate * to_seconds(std::min(cfg_.tick, left));
   if (lambda <= 0) return 0;
   if (lambda < 32.0) {
     // Knuth's product method for small means.
@@ -179,13 +178,13 @@ Request ClientPopulation::make_request(std::uint32_t slot_idx) {
   req.dir = f.ino;
   req.name = s.name;
   req.span = cluster_.trace().next_span();
-  req.issued_at = cluster_.sim_now();
+  req.issued_at = cluster_.engine().now();
   return req;
 }
 
 void ClientPopulation::tick() {
   obs::ScopedPhase prof(obs::ProfilePhase::PopulationSample);
-  const Time now = cluster_.sim_now();
+  const Time now = cluster_.engine().now();
   if (now >= window_end_) {
     // Arrival window closed: stop generating; done() flips when the last
     // in-flight request resolves (or immediately if already drained).
@@ -231,12 +230,12 @@ void ClientPopulation::tick() {
       cluster_.client_submit_batch(rank, std::move(batch));
   }
 
-  cluster_.sched_after(cfg_.tick, [this]() { tick(); });
+  cluster_.engine().schedule_after(cfg_.tick, [this]() { tick(); });
 }
 
 void ClientPopulation::arm_timeout(std::uint32_t slot_idx) {
   const std::uint64_t gen = slots_[slot_idx].gen;
-  cluster_.sched_after(slots_[slot_idx].backoff,
+  cluster_.engine().schedule_after(slots_[slot_idx].backoff,
                                    [this, slot_idx, gen]() {
     Slot& s = slots_[slot_idx];
     if (!s.inflight || s.gen != gen) return;  // already resolved/reissued
@@ -269,7 +268,7 @@ void ClientPopulation::arm_timeout(std::uint32_t slot_idx) {
 
 void ClientPopulation::resolve(std::uint32_t slot_idx, bool ok) {
   Slot& s = slots_[slot_idx];
-  const Time now = cluster_.sim_now();
+  const Time now = cluster_.engine().now();
   const double ms = to_seconds(now - s.issued_at) * 1e3;
   latencies_.add(ms);
   m_latency_.observe(ms);

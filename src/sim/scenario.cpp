@@ -6,33 +6,8 @@
 namespace mantle::sim {
 
 Scenario::Scenario(ScenarioConfig cfg) : cfg_(cfg) {
-  if (cfg_.cluster.shards > 0) {
-    ShardRuntime::Config rc;
-    rc.shards = cfg_.cluster.shards;
-    rc.threads = cfg_.threads;
-    // Auto lookahead: generous enough to amortise epoch barriers, but
-    // never beyond the minimum cross-shard (heartbeat) latency.
-    Time la = cfg_.cluster.lookahead;
-    if (la <= 0) {
-      const Time hb_min = static_cast<Time>(
-          static_cast<double>(cfg_.cluster.hb_delay) *
-          (1.0 - cfg_.cluster.hb_jitter_frac));
-      la = std::min<Time>(50 * kMsec, hb_min);
-    }
-    rc.lookahead = la > 0 ? la : 1;
-    cfg_.cluster.lookahead = rc.lookahead;  // make the digest see the
-                                            // effective value
-    runtime_ = std::make_unique<ShardRuntime>(rc);
-  }
-  Engine& eng = runtime_ ? runtime_->global() : engine_;
-  cluster_ = std::make_unique<cluster::MdsCluster>(eng, cfg_.cluster);
-  if (runtime_) {
-    cluster_->attach_shard_runtime(runtime_.get());
-    runtime_->set_epoch_drain([this]() { cluster_->drain_obs_shards(); });
-    runtime_->attach_metrics(&cluster_->metrics());
-  } else {
-    engine_.set_metrics(&cluster_->metrics());
-  }
+  cluster_ = std::make_unique<cluster::MdsCluster>(engine_, cfg_.cluster);
+  engine_.set_metrics(&cluster_->metrics());
   cluster_->set_reply_handler([this](const cluster::Reply& rep) {
     if (rep.client < 0 || static_cast<std::size_t>(rep.client) >= sinks_.size())
       return;
@@ -85,19 +60,18 @@ Time Scenario::run() {
   for (auto& c : clients_) c->start();
   for (auto& p : populations_) p->start();
 
-  // Periodic probes re-arm themselves while the scenario runs. They
-  // observe shared cluster state, so they live on the serial lane.
+  // Periodic probes re-arm themselves while the scenario runs.
   struct Rearm {
     Scenario* s;
     const Probe* p;
     void operator()() const {
       if (!s->running_) return;
-      p->fn(s->cluster_->sim_now());
-      s->cluster_->sched_after(p->interval, Rearm{s, p});
+      p->fn(s->sim_now());
+      s->engine_.schedule_after(p->interval, Rearm{s, p});
     }
   };
   for (const Probe& p : probes_)
-    cluster_->sched_after(p.interval, Rearm{this, &p});
+    engine_.schedule_after(p.interval, Rearm{this, &p});
 
   running_ = true;
   while (sim_now() < cfg_.max_time) {
@@ -109,8 +83,8 @@ Time Scenario::run() {
       return true;
     }();
     if (all_done) break;
-    run_slice(sim_now() + cfg_.slice);
-    if (sim_empty()) break;  // deadlock guard; should not happen
+    engine_.run_until(sim_now() + cfg_.slice);
+    if (engine_.empty()) break;  // deadlock guard; should not happen
   }
   running_ = false;
 
@@ -122,14 +96,7 @@ Time Scenario::run() {
   return makespan_;
 }
 
-void Scenario::run_slice(Time horizon) {
-  if (runtime_)
-    runtime_->run_until(horizon);
-  else
-    engine_.run_until(horizon);
-}
-
-void Scenario::run_extra(Time span) { run_slice(sim_now() + span); }
+void Scenario::run_extra(Time span) { engine_.run_until(sim_now() + span); }
 
 mantle::SampleSet Scenario::pooled_latencies_ms() const {
   mantle::SampleSet all;

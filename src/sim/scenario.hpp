@@ -7,14 +7,14 @@
 #include "sim/client.hpp"
 #include "sim/engine.hpp"
 #include "sim/population.hpp"
-#include "sim/shard.hpp"
 
 /// \file scenario.hpp
 /// Experiment runner: wires an engine, a cluster and a set of clients
 /// together, runs to completion (or a horizon) and exposes the metrics the
 /// paper's figures are made of: per-client runtimes, latency
 /// distributions, per-MDS throughput timelines, forwards/hits, session
-/// flushes and the migration log.
+/// flushes and the migration log. Everything runs on one engine, so a
+/// scenario is a pure function of its config and seeds.
 
 namespace mantle::sim {
 
@@ -23,37 +23,17 @@ struct ScenarioConfig {
   Time max_time = 60 * mantle::kMinute;  // safety horizon
   Time slice = mantle::kSec;             // completion-check granularity
   RetryPolicy retry;                     // client fault tolerance (off by default)
-  /// Worker threads for the sharded engine (K). Only meaningful when
-  /// cluster.shards > 0. An execution detail: K must never change any
-  /// output, so it is deliberately absent from the schedule/obs digest.
-  int threads = 1;
 };
 
 class Scenario {
  public:
   explicit Scenario(ScenarioConfig cfg);
 
-  /// The serial-lane engine (classic mode: the only engine; sharded
-  /// mode: the global lane G). Direct scheduling through this stays
-  /// valid in both modes — it lands on the serial lane.
-  Engine& engine() { return runtime_ ? runtime_->global() : engine_; }
+  Engine& engine() { return engine_; }
   cluster::MdsCluster& cluster() { return *cluster_; }
 
-  /// Non-null when cluster.shards > 0 selected the sharded engine.
-  ShardRuntime* runtime() { return runtime_.get(); }
-
-  // -- Mode-agnostic simulation clock/queue accessors --------------------------
-  Time sim_now() const { return runtime_ ? runtime_->now() : engine_.now(); }
-  bool sim_empty() const { return runtime_ ? runtime_->empty() : engine_.empty(); }
-  std::size_t sim_pending() const {
-    return runtime_ ? runtime_->pending() : engine_.pending();
-  }
-  std::uint64_t sim_saturated() const {
-    return runtime_ ? runtime_->saturated_events() : engine_.saturated_events();
-  }
-  EventPool::Stats sim_pool_stats() const {
-    return runtime_ ? runtime_->pool_stats() : engine_.pool_stats();
-  }
+  Time sim_now() const { return engine_.now(); }
+  EventPool::Stats sim_pool_stats() const { return engine_.pool_stats(); }
   /// Run the simulation a further `span` past its current clock
   /// (post-run drain loops in the bench harness use this).
   void run_extra(Time span);
@@ -105,15 +85,11 @@ class Scenario {
   };
 
   ScenarioConfig cfg_;
-  Engine engine_;  // classic single-queue mode (cluster.shards == 0)
-  // Declared before cluster_: the cluster is constructed on the
-  // runtime's global engine and must be destroyed first.
-  std::unique_ptr<ShardRuntime> runtime_;
+  Engine engine_;
   std::unique_ptr<cluster::MdsCluster> cluster_;
   std::vector<std::unique_ptr<Client>> clients_;
   std::vector<std::unique_ptr<ClientPopulation>> populations_;
   std::vector<Sink> sinks_;
-  void run_slice(Time horizon);
 
   struct Probe {
     Time interval;

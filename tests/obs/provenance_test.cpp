@@ -145,6 +145,7 @@ struct ProvDump {
   std::string provenance_json;
   std::string trace_json;
   std::string metrics_json;
+  std::string prom;
   std::uint64_t records = 0;
 };
 
@@ -185,6 +186,7 @@ ProvDump run_scenario(std::uint64_t seed, bool faulty,
   d.provenance_json = s.cluster().provenance().to_json();
   d.trace_json = s.cluster().trace().to_json();
   d.metrics_json = s.cluster().metrics().to_json();
+  d.prom = s.cluster().metrics().to_prometheus();
   d.records = s.cluster().provenance().size();
   return d;
 }
@@ -201,6 +203,9 @@ TEST(ProvenanceDeterminism, SameSeedDumpsAreByteIdentical) {
             std::string::npos);
   EXPECT_NE(a.metrics_json.find("mantle_provenance_records_total"),
             std::string::npos);
+  // The profiler's own series never reach the deterministic exports.
+  EXPECT_EQ(a.prom.find("mantle_profile_"), std::string::npos);
+  EXPECT_EQ(a.metrics_json.find("mantle_profile_"), std::string::npos);
   EXPECT_EQ(a.provenance_json, b.provenance_json);
   EXPECT_EQ(a.trace_json, b.trace_json);
 

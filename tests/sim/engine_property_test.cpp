@@ -60,10 +60,17 @@ TEST(EngineProperty, MatchesReferenceHeapOrder) {
   // Each dispatched event may reschedule fresh events (nested schedules),
   // mirrored into the reference model with the same ids and times. A
   // dedicated RNG decides the fan-out so both models see the same stream.
+  // With 0-2 children per event (mean 1) the fan-out is a critical
+  // branching process: left alone, the 10k seeds grow to ~95M events.
+  // Both models stop spawning once kMaxEvents have been scheduled, which
+  // bounds the run at ~1M dispatches.
+  constexpr int kSeeds = 10'000;
+  constexpr std::uint64_t kMaxEvents = 1'000'000;
   Rng fanout_rng(0xfa11);
   std::vector<std::pair<Time, std::uint64_t>> pending_children;
   const auto spawn_children = [&](Time now) {
     pending_children.clear();
+    if (next_id >= kMaxEvents) return;
     const std::uint64_t n = fanout_rng.uniform(0, 2);
     for (std::uint64_t i = 0; i < n; ++i) {
       Time d = 0;
@@ -84,7 +91,7 @@ TEST(EngineProperty, MatchesReferenceHeapOrder) {
   };
 
   // Seed both models with 10k random schedules.
-  for (int i = 0; i < 10'000; ++i) {
+  for (int i = 0; i < kSeeds; ++i) {
     const Time when = random_delay();
     const std::uint64_t id = next_id++;
     e.schedule_at(when, [&on_fire, id] { on_fire(id); });
@@ -101,12 +108,15 @@ TEST(EngineProperty, MatchesReferenceHeapOrder) {
     e.run_until(horizon);
   }
 
-  // Replay the reference: same initial events, same fanout stream.
+  // Replay the reference: same initial events, same fanout stream, same
+  // spawn cap.
   Rng ref_fanout(0xfa11);
+  std::uint64_t ref_scheduled = kSeeds;
   while (!ref.empty()) {
     const Time now = ref.top_when();
     const std::uint64_t id = ref.pop();
     ref_order.push_back(id);
+    if (ref_scheduled >= kMaxEvents) continue;
     const std::uint64_t n = ref_fanout.uniform(0, 2);
     for (std::uint64_t i = 0; i < n; ++i) {
       Time d = 0;
@@ -116,6 +126,7 @@ TEST(EngineProperty, MatchesReferenceHeapOrder) {
         default: d = ref_fanout.uniform(0, 10'000'000); break;
       }
       ref.push(now + d, 0);  // id patched below
+      ++ref_scheduled;
     }
   }
 
