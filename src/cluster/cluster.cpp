@@ -1,9 +1,10 @@
 #include "cluster/cluster.hpp"
-#include <bit>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
+#include "cluster/candidate_cache.hpp"
 #include "common/log.hpp"
 #include "obs/profile.hpp"
 
@@ -631,13 +632,16 @@ void MdsNode::tick() {
       // not a per-target one.
       const std::vector<std::string> selectors = balancer_->howmuch();
       rec.selectors = selectors;
+      // Every target's pool is drawn from the same walks; only this tick's
+      // own exports change what is frozen in between.
+      CandidateCache candidates(cluster_, rank_, now);
       for (std::size_t t = 0; t < targets.size(); ++t) {
         if (static_cast<MdsRank>(t) == rank_) continue;
         if (!view.alive[t]) continue;  // never export to a laggy/dead peer
         const double goal = targets[t] * cfg.need_min_factor;
         if (goal <= cfg.bal_min_load) continue;
-        std::vector<ExportCandidate> pool =
-            cluster_.gather_candidates(rank_, goal, *balancer_, now);
+        const std::vector<ExportCandidate> pool =
+            candidates.pool(goal, *balancer_);
         const std::vector<std::size_t> picks =
             best_selection(selectors, pool, goal);
         cluster_.trace_.event(
@@ -656,8 +660,9 @@ void MdsNode::tick() {
         for (const std::size_t idx : picks) {
           ship.picks.push_back({pool[idx].frag.str(), pool[idx].load,
                                 static_cast<std::uint64_t>(pool[idx].entries)});
-          cluster_.export_subtree(pool[idx].frag, static_cast<MdsRank>(t),
-                                  tick_span);
+          if (cluster_.export_subtree(pool[idx].frag, static_cast<MdsRank>(t),
+                                      tick_span))
+            candidates.exported(pool[idx].frag);
         }
         rec.ships.push_back(std::move(ship));
       }
@@ -895,76 +900,7 @@ std::vector<ExportCandidate> MdsCluster::gather_candidates(MdsRank rank,
                                                            double target,
                                                            Balancer& policy,
                                                            Time now) {
-  struct Item {
-    ExportCandidate cand;
-    bool drillable = true;
-  };
-  std::vector<Item> pool;
-  auto add = [&](const DirFragId& id) {
-    if (is_frozen(id)) return;
-    Item item;
-    item.cand.frag = id;
-    item.cand.load = policy.metaload(subtree_pop(id, rank, now));
-    item.cand.entries = subtree_entry_count(id, rank);
-    pool.push_back(std::move(item));
-  };
-  for (const DirFragId& root : roots_of(rank)) add(root);
-
-  // Drill down: a candidate too hot to ship whole is replaced by its child
-  // directories' fragments ("subtrees are divided and migrated only if
-  // their ancestors are too popular to migrate", §3.2).
-  const double too_big = target * cfg_.too_big_factor;
-  for (int depth = 0; depth < cfg_.max_drill_depth; ++depth) {
-    bool drilled = false;
-    std::vector<Item> next;
-    for (Item& item : pool) {
-      if (!item.drillable || item.cand.load <= too_big) {
-        next.push_back(std::move(item));
-        continue;
-      }
-      const DirFrag* f = ns_.frag(item.cand.frag);
-      if (f == nullptr) {
-        continue;
-      }
-      std::vector<DirFragId> children;
-      for (const auto& [name, ino] : f->dentries) {
-        const mantle::mds::Dir* child = ns_.dir(ino);
-        if (child == nullptr) continue;
-        for (const auto& [cf, cdf] : child->frags)
-          if (cdf.auth == rank) children.push_back({ino, cf});
-      }
-      if (children.empty()) {
-        // A hot flat directory: nothing below to descend into, so it is
-        // exportable as-is (directory fragmentation handles splitting).
-        item.drillable = false;
-        next.push_back(std::move(item));
-        continue;
-      }
-      drilled = true;
-      for (const DirFragId& c : children) {
-        if (is_frozen(c)) continue;
-        Item ci;
-        ci.cand.frag = c;
-        ci.cand.load = policy.metaload(subtree_pop(c, rank, now));
-        ci.cand.entries = subtree_entry_count(c, rank);
-        next.push_back(std::move(ci));
-      }
-    }
-    pool = std::move(next);
-    if (!drilled) break;
-  }
-
-  std::vector<ExportCandidate> out;
-  out.reserve(pool.size());
-  for (Item& item : pool)
-    if (item.cand.load > 0.0 || item.cand.entries > 0)
-      out.push_back(std::move(item.cand));
-  std::sort(out.begin(), out.end(),
-            [](const ExportCandidate& a, const ExportCandidate& b) {
-              if (a.load != b.load) return a.load > b.load;
-              return a.frag < b.frag;
-            });
-  return out;
+  return CandidateCache(*this, rank, now).pool(target, policy);
 }
 
 bool MdsCluster::export_subtree(const DirFragId& frag, MdsRank to,

@@ -554,6 +554,9 @@ class MdsCluster {
   /// drilling into candidates too hot to move whole (paper: "subtrees are
   /// divided and migrated only if their ancestors are too popular").
   /// Sorted by descending load; frozen and foreign fragments excluded.
+  /// This is a one-shot CandidateCache (candidate_cache.hpp); a balancer
+  /// tick keeps one cache for all of its targets, so the walks run once
+  /// per tick rather than once per target, with identical pools.
   std::vector<ExportCandidate> gather_candidates(MdsRank rank, double target,
                                                  Balancer& policy, Time now);
 
