@@ -1,5 +1,7 @@
 #include "core/mantle.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -47,6 +49,39 @@ constexpr const char* kHookNames[] = {"metaload", "mdsload", "when", "where",
 
 constexpr const char* kRowFields[8] = {"auth", "all", "cpu", "mem",
                                        "q",    "req", "load", "alive"};
+
+/// Names of MantleBalancer::Bound, in order.
+constexpr const char* kBoundNames[] = {
+    "MDSs",    "i",      "IRD",   "IWR",          "READDIR",    "FETCH",
+    "STORE",   "targets", "whoami", "total",      "authmetaload",
+    "allmetaload"};
+
+/// The inputs a load hook may be lowered over, in the order metaload()
+/// and mdsload() pass their values: the five pop counters, and the eight
+/// fields of the row being scored.
+const std::vector<std::string>& lowering_inputs(bool mdsload) {
+  static const std::vector<std::string> pop = {"IRD", "IWR", "READDIR",
+                                               "FETCH", "STORE"};
+  static const std::vector<std::string> row = [] {
+    std::vector<std::string> v;
+    for (const char* f : kRowFields) v.push_back(std::string("MDSs[i].") + f);
+    return v;
+  }();
+  return mdsload ? row : pop;
+}
+
+/// Make `cell` hold table `t`, skipping the store (and its reference-count
+/// traffic) when it already does.
+void point_at(Value& cell, const lua::TablePtr& t) {
+  if (!(cell.is_table() && cell.table() == t)) cell = Value(t);
+}
+
+/// The MDSs[i] fields of heartbeat `hb`, with the given load and liveness.
+std::array<double, 8> row_values(const HeartbeatPayload& hb, double load,
+                                 double alive) {
+  return {hb.auth_metaload, hb.all_metaload, hb.cpu_pct, hb.mem_pct,
+          hb.queue_len,     hb.req_rate,     load,       alive};
+}
 
 /// Read the `targets` table a hook produced into a dense rank-indexed
 /// vector, defending the mechanism against policy bugs: non-finite and
@@ -163,6 +198,7 @@ const MantleBalancer::HookProgram& MantleBalancer::program(
   }
   const bool recompile = p.compiled;
   p.source = src;
+  p.lowered.reset();
   p.is_expr = false;
   p.then_style = false;
   const char* name = kHookNames[h];
@@ -175,6 +211,8 @@ const MantleBalancer::HookProgram& MantleBalancer::program(
       ++cache_stats_.parses;
       if (p.chunk.ok()) {
         p.is_expr = true;
+        p.lowered = lua::lower_expr(p.chunk, lowering_inputs(h == kMdsload),
+                                    opt_.budget);
       } else {
         p.chunk = lua::compile(src, name);
         ++cache_stats_.parses;
@@ -243,21 +281,39 @@ void MantleBalancer::bind_state_functions() {
   lua_.set_function("RDState", rd);
 }
 
+lua::RunResult MantleBalancer::run(const HookProgram& p) const {
+  lua::RunResult r = lua_.run(p.chunk);
+  last_steps_ = lua_.steps_used();
+  return r;
+}
+
+bool MantleBalancer::is_lowered(const std::string& key) const {
+  if (key == "mds_bal_metaload") return programs_[kMetaload].lowered.has_value();
+  if (key == "mds_bal_mdsload") return programs_[kMdsload].lowered.has_value();
+  return false;
+}
+
 double MantleBalancer::eval_load_hook(Hook h, const std::string& script,
-                                      const char* result_global) const {
+                                      const char* result_global,
+                                      const double* inputs) const {
   if (script.empty()) return 0.0;
   const HookProgram& prog = program(h, script);
-  lua::RunResult r = lua_.run(prog.chunk);
-  if (r.ok && !prog.is_expr) r.values = {lua_.get_global(result_global)};
-  if (!r.ok) {
-    ++hook_errors_;
-    last_error_ = r.error;
-    MANTLE_LOG_WARN("mantle %s hook failed: %s", result_global,
-                    r.error.c_str());
-    return 0.0;
+  double x = 0.0;
+  if (prog.lowered) {
+    x = prog.lowered->run(inputs);
+    last_steps_ = prog.lowered->steps;
+  } else {
+    lua::RunResult r = run(prog);
+    if (r.ok && !prog.is_expr) r.values = {lua_.get_global(result_global)};
+    if (!r.ok) {
+      ++hook_errors_;
+      last_error_ = r.error;
+      MANTLE_LOG_WARN("mantle %s hook failed: %s", result_global,
+                      r.error.c_str());
+      return 0.0;
+    }
+    x = r.first().to_number().value_or(0.0);
   }
-  const Value v = r.first();
-  const double x = v.to_number().value_or(0.0);
   // Load fractions get the same treatment as targets: a NaN/Inf metaload
   // or mdsload would flow straight into migration sizing (candidate
   // gathering sums metaloads; where() goals scale mdsloads), so clamp to
@@ -308,15 +364,14 @@ void MantleBalancer::attach_observability(obs::MetricsRegistry* metrics,
 }
 
 void MantleBalancer::note_hook(Hook h, bool failed) const {
-  // steps_used() resets at the start of every run/eval, so reading it
-  // after the hook gives exactly this evaluation's cost. The running
+  // last_steps_ is this evaluation's cost (a hook with no source repeats
+  // the previous one's, as reading steps_used() always has). The running
   // total feeds eval_stats() and is kept even without a registry.
-  const std::uint64_t steps = lua_.steps_used();
-  total_steps_ += steps;
+  total_steps_ += last_steps_;
   if (hook_calls_[h] == nullptr) return;
   hook_calls_[h]->inc();
   if (failed) hook_fail_[h]->inc();
-  hook_steps_[h]->observe(static_cast<double>(steps));
+  hook_steps_[h]->observe(static_cast<double>(last_steps_));
 }
 
 cluster::Balancer::EvalStats MantleBalancer::eval_stats() const {
@@ -333,8 +388,7 @@ cluster::Balancer::EvalStats MantleBalancer::eval_stats() const {
 // Zero-rebuild hook environments
 // ---------------------------------------------------------------------------
 
-void MantleBalancer::RowCache::update(const HeartbeatPayload& hb, double load,
-                                      double alive) {
+void MantleBalancer::RowCache::update(const RowValues& values) {
   // Intact = the exact eight canonical fields and no erasures since the
   // cell pointers were taken. A policy that reshaped the row (added or
   // nilled keys) gets a fresh row next tick, matching the old
@@ -347,25 +401,32 @@ void MantleBalancer::RowCache::update(const HeartbeatPayload& hb, double load,
     for (int f = 0; f < 8; ++f) cells[f] = row->slot_str(kRowFields[f]);
     version = row->erase_version;
   }
-  *cells[0] = Value(hb.auth_metaload);
-  *cells[1] = Value(hb.all_metaload);
-  *cells[2] = Value(hb.cpu_pct);
-  *cells[3] = Value(hb.mem_pct);
-  *cells[4] = Value(hb.queue_len);
-  *cells[5] = Value(hb.req_rate);
-  *cells[6] = Value(load);
-  *cells[7] = Value(alive);
+  for (int f = 0; f < 8; ++f) *cells[f] = Value(values[f]);
+}
+
+Value& MantleBalancer::global(Bound g) const {
+  static_assert(std::size(kBoundNames) == kNumBound);
+  const lua::TablePtr& globals = lua_.globals();
+  if (globals->erase_version != bound_version_) {
+    std::fill(std::begin(bound_cells_), std::end(bound_cells_), nullptr);
+    bound_version_ = globals->erase_version;
+  }
+  // Taken on first use, so a global the host never bound stays absent;
+  // every caller stores a non-nil value right away.
+  Value*& cell = bound_cells_[g];
+  if (cell == nullptr) cell = globals->slot_str(kBoundNames[g]);
+  return *cell;
 }
 
 double MantleBalancer::metaload(const PopSnapshot& pop) const {
   obs::ScopedPhase prof(obs::ProfilePhase::HookEval);
-  lua_.set_global("IRD", Value(pop.ird));
-  lua_.set_global("IWR", Value(pop.iwr));
-  lua_.set_global("READDIR", Value(pop.readdir));
-  lua_.set_global("FETCH", Value(pop.fetch));
-  lua_.set_global("STORE", Value(pop.store));
+  const double inputs[] = {pop.ird, pop.iwr, pop.readdir, pop.fetch,
+                           pop.store};
+  for (int k = 0; k < 5; ++k)
+    global(static_cast<Bound>(kIRD + k)) = Value(inputs[k]);
   const std::uint64_t errs = hook_errors_;
-  const double v = eval_load_hook(kMetaload, policy_.metaload, "metaload");
+  const double v =
+      eval_load_hook(kMetaload, policy_.metaload, "metaload", inputs);
   note_hook(kMetaload, hook_errors_ != errs);
   return v;
 }
@@ -391,13 +452,14 @@ double MantleBalancer::mdsload(const HeartbeatPayload& hb) const {
     se.version = se.mdss->erase_version;
     se.idx = idx;
   }
-  se.row.update(hb, 0.0, 1.0);
-  if (!(se.cell->is_table() && se.cell->table() == se.row.row))
-    *se.cell = Value(se.row.row);
-  lua_.set_global("MDSs", Value(se.mdss));
-  lua_.set_global("i", Value(idx));
+  const RowValues row = row_values(hb, 0.0, 1.0);
+  se.row.update(row);
+  point_at(*se.cell, se.row.row);
+  point_at(global(kMDSs), se.mdss);
+  global(kI) = Value(idx);
   const std::uint64_t errs = hook_errors_;
-  const double v = eval_load_hook(kMdsload, policy_.mdsload, "mdsload");
+  const double v =
+      eval_load_hook(kMdsload, policy_.mdsload, "mdsload", row.data());
   note_hook(kMdsload, hook_errors_ != errs);
   return v;
 }
@@ -430,10 +492,9 @@ void MantleBalancer::bind_view(const ClusterView& view) {
     RowCache& rc = env.rows[i];
     // Defensive: a foreign/replayed view may carry fewer loads than ranks.
     const double load = i < view.loads.size() ? view.loads[i] : 0.0;
-    rc.update(view.mdss[i], load, view.is_alive(i) ? 1.0 : 0.0);
+    rc.update(row_values(view.mdss[i], load, view.is_alive(i) ? 1.0 : 0.0));
     // Heal MDSs[i] if a policy overwrote the container cell itself.
-    lua::Value& cell = *env.mdss_cells[i];
-    if (!(cell.is_table() && cell.table() == rc.row)) cell = Value(rc.row);
+    point_at(*env.mdss_cells[i], rc.row);
   }
 
   // targets: same table every tick, cells reset to 0.
@@ -452,24 +513,23 @@ void MantleBalancer::bind_view(const ClusterView& view) {
   for (std::size_t i = 0; i < n; ++i) *env.target_cells[i] = Value(0.0);
 
   // Globals are rebound every tick: a policy may have replaced them.
-  lua_.set_global("MDSs", Value(env.mdss));
-  lua_.set_global("targets", Value(env.targets));
-  lua_.set_global("whoami", Value(static_cast<double>(view.whoami + 1)));
+  point_at(global(kMDSs), env.mdss);
+  point_at(global(kTargets), env.targets);
+  global(kWhoami) = Value(static_cast<double>(view.whoami + 1));
   // A NaN/Inf total (possible in a hand-built or replayed view) is as
   // dangerous as a NaN target: policies divide by it. Present 0 instead.
-  lua_.set_global("total", Value(std::isfinite(view.total_load)
-                                     ? view.total_load
-                                     : 0.0));
+  global(kTotal) =
+      Value(std::isfinite(view.total_load) ? view.total_load : 0.0);
   // `whoami` was validated by the caller (when()/where() refuse to run a
   // hook for an out-of-range rank), but keep the access guarded anyway.
   if (view.whoami >= 0 && static_cast<std::size_t>(view.whoami) < n) {
     const HeartbeatPayload& me =
         view.mdss[static_cast<std::size_t>(view.whoami)];
-    lua_.set_global("authmetaload", Value(me.auth_metaload));
-    lua_.set_global("allmetaload", Value(me.all_metaload));
+    global(kAuthMetaload) = Value(me.auth_metaload);
+    global(kAllMetaload) = Value(me.all_metaload);
   } else {
-    lua_.set_global("authmetaload", Value(0.0));
-    lua_.set_global("allmetaload", Value(0.0));
+    global(kAuthMetaload) = Value(0.0);
+    global(kAllMetaload) = Value(0.0);
   }
 }
 
@@ -498,13 +558,13 @@ bool MantleBalancer::when(const ClusterView& view) {
   bool result = false;
   if (prog.then_style) {
     lua_.set_global("__go", Value(0.0));
-    r = lua_.run(prog.chunk);
+    r = run(prog);
     if (r.ok) {
       explicit_result = true;
       result = lua_.get_global("__go").to_number().value_or(0.0) == 1.0;
     }
   } else {
-    r = lua_.run(prog.chunk);
+    r = run(prog);
     if (r.ok) {
       if (!r.values.empty() && r.values[0].is_bool()) {
         explicit_result = true;
@@ -551,7 +611,7 @@ std::vector<double> MantleBalancer::where(const ClusterView& view) {
     return std::vector<double>(view.size(), 0.0);
   }
   bind_view(view);
-  lua::RunResult r = lua_.run(program(kWhere, policy_.where).chunk);
+  lua::RunResult r = run(program(kWhere, policy_.where));
   if (!r.ok) {
     ++hook_errors_;
     last_error_ = r.error;
@@ -570,7 +630,7 @@ std::vector<double> MantleBalancer::where(const ClusterView& view) {
 std::vector<std::string> MantleBalancer::howmuch() const {
   obs::ScopedPhase prof(obs::ProfilePhase::HookEval);
   if (policy_.howmuch.empty()) return {"big_first"};
-  lua::RunResult r = lua_.run(program(kHowmuch, policy_.howmuch).chunk);
+  lua::RunResult r = run(program(kHowmuch, policy_.howmuch));
   note_hook(kHowmuch, !r.ok);
   if (!r.ok || !r.first().is_table()) {
     if (!r.ok) {

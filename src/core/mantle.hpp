@@ -1,11 +1,13 @@
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/balancer.hpp"
 #include "lua/interp.hpp"
+#include "lua/lower.hpp"
 #include "store/object_store.hpp"
 
 /// \file mantle.hpp
@@ -119,7 +121,8 @@ class MantleBalancer final : public cluster::Balancer {
   /// sanitization counter, and an interpreter-step histogram per hook.
   /// Steps stand in for wall time — they measure the same thing (how much
   /// work the injected policy does) while staying deterministic, so
-  /// instrumented runs remain byte-reproducible.
+  /// instrumented runs remain byte-reproducible. A lowered load hook
+  /// records the steps the interpreter would have charged.
   void attach_observability(obs::MetricsRegistry* metrics,
                             obs::TraceSink* trace) override;
 
@@ -138,6 +141,11 @@ class MantleBalancer final : public cluster::Balancer {
   /// once attach_observability() has run).
   const PolicyCacheStats& cache_stats() const { return cache_stats_; }
 
+  /// True if the hook injected under `key` ("mds_bal_metaload" or
+  /// "mds_bal_mdsload") runs as a lowered numeric program instead of on
+  /// the interpreter (see HookProgram::lowered).
+  bool is_lowered(const std::string& key) const;
+
   /// Cumulative evaluation cost for the provenance recorder. Always
   /// tracked (unlike the registry handles, which need
   /// attach_observability()), so recorded decisions carry real deltas
@@ -150,13 +158,31 @@ class MantleBalancer final : public cluster::Balancer {
 
   /// One hook's compiled form. Classification (bare expression vs chunk,
   /// Table-1 `... then` fragment) happens at compile time, never per call.
+  ///
+  /// A metaload or mdsload expression that is plain arithmetic over its
+  /// inputs (IRD IWR READDIR FETCH STORE, or MDSs[i]["<field>"]) is also
+  /// lowered to `lowered`, which evaluates it from the doubles the hook
+  /// binds instead of through the interpreter. Value, steps charged and
+  /// Lua state are the same either way (docs/PERFORMANCE.md, "Load hooks
+  /// without the interpreter"); `chunk` still backs every other hook and
+  /// any expression the lowering declines.
   struct HookProgram {
     std::string source;        // what was compiled (cache key)
     lua::CompiledChunk chunk;  // ready-to-run AST (or compile error)
+    std::optional<lua::NumProgram> lowered;
     bool is_expr = false;      // compiled via compile_expr()
     bool then_style = false;   // when-hook "if <cond> then" fragment
     bool compiled = false;
   };
+
+  /// Globals the host binds to a non-nil value on every call.
+  enum Bound {
+    kMDSs = 0, kI, kIRD, kIWR, kReaddir, kFetch, kStore,
+    kTargets, kWhoami, kTotal, kAuthMetaload, kAllMetaload, kNumBound
+  };
+
+  /// The eight MDSs[i] fields: auth all cpu mem q req load alive.
+  using RowValues = std::array<double, 8>;
 
   /// One MDSs[i] row reused across ticks: the table plus stable pointers
   /// to its eight value cells. Rebuilt only if a policy changed the row's
@@ -166,7 +192,7 @@ class MantleBalancer final : public cluster::Balancer {
     std::uint32_t version = 0;
     lua::Value* cells[8] = {};  // auth all cpu mem q req load alive
 
-    void update(const cluster::HeartbeatPayload& hb, double load, double alive);
+    void update(const RowValues& values);
   };
 
   /// The when/where hook environment, built once and refreshed in place.
@@ -200,18 +226,28 @@ class MantleBalancer final : public cluster::Balancer {
   /// inline (pushed_ remembers what the registry has already seen).
   void sync_cache_counters() const;
 
+  /// Global `g`'s value cell, for writing a non-nil value without
+  /// set_global's string-keyed lookup. Cells are re-taken whenever a
+  /// global has been erased (the globals table's erase_version moved).
+  lua::Value& global(Bound g) const;
   void bind_view(const cluster::ClusterView& view);
   void bind_state_functions();
+  /// Run a hook's chunk on the interpreter, remembering its steps.
+  lua::RunResult run(const HookProgram& p) const;
+  /// Evaluate a load hook; `inputs` are its lowering inputs' values.
   double eval_load_hook(Hook h, const std::string& script,
-                        const char* result_global) const;
-  /// Bump the hook's call/error counters and record the interpreter steps
-  /// the evaluation consumed. No-op until attach_observability().
+                        const char* result_global, const double* inputs) const;
+  /// Bump the hook's call/error counters and record the steps of the
+  /// latest evaluation. No-op until attach_observability().
   void note_hook(Hook h, bool failed) const;
 
   MantlePolicy policy_;
   Options opt_;
   mutable lua::Interp lua_;
   mutable std::uint64_t total_steps_ = 0;  // Lua steps across all hook calls
+  /// Steps of the latest evaluation, lowered or interpreted: what
+  /// lua_.steps_used() would read had every evaluation run on lua_.
+  mutable std::uint64_t last_steps_ = 0;
   mutable std::uint64_t hook_errors_ = 0;
   mutable std::string last_error_;
   lua::Value state_;                     // WRstate/RDstate slot
@@ -223,6 +259,8 @@ class MantleBalancer final : public cluster::Balancer {
   mutable PolicyCacheStats pushed_;  // already reflected in the registry
   mutable ViewEnv view_env_;
   mutable std::vector<SoloEnv> solo_envs_;
+  mutable lua::Value* bound_cells_[kNumBound] = {};
+  mutable std::uint32_t bound_version_ = 0;  // globals' erase_version
   mutable Time last_now_ = 0;     // latest view.now seen (trace timestamps)
   mutable int last_whoami_ = -1;  // latest view.whoami seen
 

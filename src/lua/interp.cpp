@@ -1,7 +1,6 @@
 #include "lua/interp.hpp"
 
-#include <cmath>
-
+#include "lua/arith.hpp"
 #include "lua/parser.hpp"
 
 namespace mantle::lua {
@@ -446,28 +445,12 @@ Value Interp::eval_binary(const Expr& e, const FramePtr& frame) {
   Value a = eval_expr(*e.a, frame);
   Value b = eval_expr(*e.b, frame);
 
+  if (is_arith(e.bop)) {
+    const double x = arith_operand(a, e.line, "left operand");
+    const double y = arith_operand(b, e.line, "right operand");
+    return Value(arith(e.bop, x, y));
+  }
   switch (e.bop) {
-    case BinOp::Add:
-      return Value(arith_operand(a, e.line, "left operand") +
-                   arith_operand(b, e.line, "right operand"));
-    case BinOp::Sub:
-      return Value(arith_operand(a, e.line, "left operand") -
-                   arith_operand(b, e.line, "right operand"));
-    case BinOp::Mul:
-      return Value(arith_operand(a, e.line, "left operand") *
-                   arith_operand(b, e.line, "right operand"));
-    case BinOp::Div:
-      return Value(arith_operand(a, e.line, "left operand") /
-                   arith_operand(b, e.line, "right operand"));
-    case BinOp::Mod: {
-      const double x = arith_operand(a, e.line, "left operand");
-      const double y = arith_operand(b, e.line, "right operand");
-      // Lua modulo: result has the sign of the divisor.
-      return Value(x - std::floor(x / y) * y);
-    }
-    case BinOp::Pow:
-      return Value(std::pow(arith_operand(a, e.line, "left operand"),
-                            arith_operand(b, e.line, "right operand")));
     case BinOp::Concat: {
       auto piece = [&](const Value& v) -> std::string {
         if (v.is_string()) return v.str();

@@ -1,30 +1,12 @@
 #include "lua/parser.hpp"
 
-#include <cmath>
-
+#include "lua/arith.hpp"
 #include "lua/lexer.hpp"
 #include "lua/value.hpp"
 
 namespace mantle::lua {
 
 namespace {
-
-/// Fold arithmetic on two numeric literals at parse time, replicating the
-/// interpreter's formulas exactly (including Lua's floored modulo and
-/// IEEE inf/NaN results) so folded and unfolded code compute identical
-/// values. Comparison/concat/logic operators are left to the runtime:
-/// they carry type-error and short-circuit semantics.
-bool fold_arith(BinOp op, double a, double b, double* out) {
-  switch (op) {
-    case BinOp::Add: *out = a + b; return true;
-    case BinOp::Sub: *out = a - b; return true;
-    case BinOp::Mul: *out = a * b; return true;
-    case BinOp::Div: *out = a / b; return true;
-    case BinOp::Mod: *out = a - std::floor(a / b) * b; return true;
-    case BinOp::Pow: *out = std::pow(a, b); return true;
-    default: return false;
-  }
-}
 
 struct BinPriority {
   int left;
@@ -370,12 +352,12 @@ class Parser {
       bin->bop = op;
       bin->b = parse_expr(pri.right);
       bin->a = std::move(left);
-      double folded = 0.0;
-      if (bin->a->kind == Expr::Kind::Number &&
-          bin->b->kind == Expr::Kind::Number &&
-          fold_arith(op, bin->a->number, bin->b->number, &folded)) {
+      // Fold arithmetic on two literals. Comparison, concat and logic stay
+      // for the runtime: they carry type-error and short-circuit semantics.
+      if (is_arith(op) && bin->a->kind == Expr::Kind::Number &&
+          bin->b->kind == Expr::Kind::Number) {
         bin->kind = Expr::Kind::Number;
-        bin->number = folded;
+        bin->number = arith(op, bin->a->number, bin->b->number);
         bin->a.reset();
         bin->b.reset();
       }
