@@ -7,6 +7,7 @@
 
 #include "balancers/builtin.hpp"
 #include "common/rng.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scenario.hpp"
 #include "workloads/compile.hpp"
@@ -26,27 +27,6 @@ constexpr Time kDelayMin = 200 * kMsec;
 constexpr Time kDelayMax = 2 * kSec;
 
 constexpr int kNumMds = 3;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Deterministic window-based injector. Unlike fault::FaultInjector this
 /// draws no randomness at injection time: every decision is a pure
@@ -368,7 +348,7 @@ std::string ChaosViolation::reproducer() const {
                 static_cast<unsigned long long>(at), shrunk.events.size());
   out += buf;
   out += " schedule=[" + shrunk.str() + "]";
-  out += " detail=\"" + json_escape(detail) + "\"";
+  out += " detail=" + obs::json_string(detail);
   return out;
 }
 
@@ -399,10 +379,10 @@ std::string ChaosResult::to_json() const {
     std::snprintf(buf, sizeof(buf), "{\"at_us\":%llu,",
                   static_cast<unsigned long long>(v.at));
     out += buf;
-    out += "\"detail\":\"" + json_escape(v.detail) + "\",";
+    out += "\"detail\":" + obs::json_string(v.detail) + ",";
     std::snprintf(buf, sizeof(buf), "\"events\":%zu,", v.shrunk.events.size());
     out += buf;
-    out += "\"invariant\":\"" + json_escape(v.invariant) + "\",";
+    out += "\"invariant\":" + obs::json_string(v.invariant) + ",";
     std::snprintf(buf, sizeof(buf), "\"iteration\":%llu,",
                   static_cast<unsigned long long>(v.iteration));
     out += buf;
@@ -411,7 +391,7 @@ std::string ChaosResult::to_json() const {
     out += buf;
     out += "\"scenario\":\"";
     out += scenario_name(v.scenario);
-    out += "\",\"schedule\":\"" + json_escape(v.shrunk.str()) + "\",";
+    out += "\",\"schedule\":" + obs::json_string(v.shrunk.str()) + ",";
     std::snprintf(buf, sizeof(buf), "\"seed\":%llu}",
                   static_cast<unsigned long long>(v.seed));
     out += buf;

@@ -7,14 +7,12 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs/json_reader.hpp"
-#include "obs/metrics.hpp"  // format_metric_value
+#include "obs/json.hpp"
 
 namespace mantle::obs {
 
 namespace {
 
-using jsonr::JsonReader;
 using jsonr::JsonValue;
 
 bool event_kind_from_name(const std::string& name, EventKind& out) {
@@ -57,21 +55,6 @@ int frag_bits_of(const std::string& detail) {
   return bits;
 }
 
-std::string u64(std::uint64_t x) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, x);
-  return buf;
-}
-
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -80,7 +63,7 @@ std::string json_str(const std::string& s) {
 
 std::vector<TraceEvent> parse_trace_json(const std::string& json) {
   std::vector<TraceEvent> out;
-  const JsonValue root = JsonReader(json).parse();
+  const JsonValue root = jsonr::parse(json);
   if (root.type != JsonValue::Type::Array) return out;
   for (const JsonValue& e : root.arr) {
     if (e.type != JsonValue::Type::Object) continue;
@@ -105,19 +88,12 @@ std::vector<TraceEvent> parse_trace_json(const std::string& json) {
 }
 
 std::map<std::string, double> parse_metrics_counters(const std::string& json) {
-  std::map<std::string, double> out;
-  const JsonValue root = JsonReader(json).parse();
-  const JsonValue* counters = root.get("counters");
-  if (counters == nullptr || counters->type != JsonValue::Type::Object)
-    return out;
-  for (const auto& [k, v] : counters->obj)
-    if (v.type == JsonValue::Type::Number) out[k] = v.num;
-  return out;
+  return parse_metrics_json(json).counters;
 }
 
 MetricsSnapshot parse_metrics_json(const std::string& json) {
   MetricsSnapshot out;
-  const JsonValue root = JsonReader(json).parse();
+  const JsonValue root = jsonr::parse(json);
   if (const JsonValue* counters = root.get("counters");
       counters != nullptr && counters->type == JsonValue::Type::Object)
     for (const auto& [k, v] : counters->obj)
@@ -298,7 +274,7 @@ Report analyze(const std::vector<TraceEvent>& events, const AnalyzeConfig& cfg,
             rep.anomalies.push_back(
                 {"thrash", ev.at, ev.span,
                  "mds" + std::to_string(ev.rank) + " decided to migrate on " +
-                     u64(thrash_run[r]) +
+                     std::to_string(thrash_run[r]) +
                      " consecutive ticks but shipped ~zero load"});
           }
         } else {
@@ -333,9 +309,9 @@ Report analyze(const std::vector<TraceEvent>& events, const AnalyzeConfig& cfg,
                 {"ping-pong", ev.at, ev.span,
                  ev.detail + " bounced between mds" + std::to_string(ev.peer) +
                      " and mds" + std::to_string(ev.rank) + " " +
-                     u64(it->second.reversals) +
+                     std::to_string(it->second.reversals) +
                      " times, each within " +
-                     u64(cfg.ping_pong_window_ticks) + " ticks"});
+                     std::to_string(cfg.ping_pong_window_ticks) + " ticks"});
           }
         }
         break;
@@ -452,8 +428,9 @@ Report analyze(const std::vector<TraceEvent>& events, const AnalyzeConfig& cfg,
   if (rep.parked > rep.flushed)
     rep.anomalies.push_back(
         {"dead-letter-leak", t_end, kNoSpan,
-         u64(rep.parked - rep.flushed) + " request(s) still parked on the "
-                                         "dead-letter queue at end of run"});
+         std::to_string(rep.parked - rep.flushed) +
+             " request(s) still parked on the dead-letter queue at end of "
+             "run"});
 
   // Locality ratio from the metrics snapshot, when provided.
   if (counters != nullptr) {
@@ -504,30 +481,30 @@ int Report::tripped() const {
 std::string Report::to_json() const {
   std::string out = "{\"summary\":{";
   out += "\"churn\":" + format_metric_value(churn);
-  out += ",\"crashes\":" + u64(crashes);
+  out += ",\"crashes\":" + std::to_string(crashes);
   out += ",\"cv_max\":" + format_metric_value(cv_max);
   out += ",\"cv_mean\":" + format_metric_value(cv_mean);
-  out += ",\"entries_shipped\":" + u64(entries_shipped);
-  out += ",\"events\":" + u64(events);
-  out += ",\"exports_aborted\":" + u64(exports_aborted);
-  out += ",\"exports_committed\":" + u64(exports_committed);
-  out += ",\"exports_started\":" + u64(exports_started);
-  out += ",\"flushed\":" + u64(flushed);
+  out += ",\"entries_shipped\":" + std::to_string(entries_shipped);
+  out += ",\"events\":" + std::to_string(events);
+  out += ",\"exports_aborted\":" + std::to_string(exports_aborted);
+  out += ",\"exports_committed\":" + std::to_string(exports_committed);
+  out += ",\"exports_started\":" + std::to_string(exports_started);
+  out += ",\"flushed\":" + std::to_string(flushed);
   if (has_locality)
     out += ",\"locality_ratio\":" + format_metric_value(locality_ratio);
   out += ",\"max_split_depth\":" + std::to_string(max_split_depth);
-  out += ",\"merges\":" + u64(merges);
+  out += ",\"merges\":" + std::to_string(merges);
   out += ",\"num_ranks\":" + std::to_string(num_ranks);
-  out += ",\"parked\":" + u64(parked);
+  out += ",\"parked\":" + std::to_string(parked);
   if (has_pool) {
     out += ",\"pool_capacity_events\":" + format_metric_value(pool_capacity);
     out += ",\"pool_live_events\":" + format_metric_value(pool_live);
     out += ",\"pool_peak_live_events\":" + format_metric_value(pool_peak_live);
     out += ",\"pool_reserved_bytes\":" + format_metric_value(pool_reserved_bytes);
   }
-  out += ",\"spans\":" + u64(spans);
-  out += ",\"splits\":" + u64(splits);
-  out += ",\"ticks\":" + u64(ticks);
+  out += ",\"spans\":" + std::to_string(spans);
+  out += ",\"splits\":" + std::to_string(splits);
+  out += ",\"ticks\":" + std::to_string(ticks);
   out += "},";
   if (!histogram_rows.empty()) {
     out += "\"histograms\":{";
@@ -535,7 +512,8 @@ std::string Report::to_json() const {
     for (const HistogramRow& h : histogram_rows) {
       if (!first_h) out += ",";
       first_h = false;
-      out += json_str(h.name) + ":{\"count\":" + u64(h.summary.count);
+      out += json_string(h.name) +
+             ":{\"count\":" + std::to_string(h.summary.count);
       out += ",\"p50\":" + format_metric_value(h.summary.p50);
       out += ",\"p95\":" + format_metric_value(h.summary.p95);
       out += ",\"p99\":" + format_metric_value(h.summary.p99);
@@ -548,33 +526,34 @@ std::string Report::to_json() const {
   for (const char* d : kDetectors) {
     if (!first) out += ",";
     first = false;
-    out += json_str(d) + ":" + u64(count(d));
+    out += json_string(d) + ":" + std::to_string(count(d));
   }
   out += "},\"anomalies\":[";
   first = true;
   for (const Anomaly& a : anomalies) {
     if (!first) out += ",";
     first = false;
-    out += "{\"detector\":" + json_str(a.detector) + ",\"t_us\":" + u64(a.at);
-    if (a.span >= 0)
-      out += ",\"span\":" + u64(static_cast<std::uint64_t>(a.span));
-    out += ",\"detail\":" + json_str(a.detail) + "}";
+    out += "{\"detector\":" + json_string(a.detector) +
+           ",\"t_us\":" + std::to_string(a.at);
+    if (a.span >= 0) out += ",\"span\":" + std::to_string(a.span);
+    out += ",\"detail\":" + json_string(a.detail) + "}";
   }
   out += "],\"series\":[";
   first = true;
   for (const TickPoint& tp : series) {
     if (!first) out += ",";
     first = false;
-    out += "{\"tick\":" + u64(tp.tick) + ",\"cv\":" + format_metric_value(tp.cv);
+    out += "{\"tick\":" + std::to_string(tp.tick) +
+           ",\"cv\":" + format_metric_value(tp.cv);
     out += ",\"load\":[";
     for (std::size_t r = 0; r < tp.load.size(); ++r) {
       if (r > 0) out += ",";
       out += format_metric_value(tp.load[r]);
     }
-    out += "],\"migrations\":" + u64(tp.migrations);
-    out += ",\"entries_shipped\":" + u64(tp.entries_shipped);
-    out += ",\"splits\":" + u64(tp.splits);
-    out += ",\"merges\":" + u64(tp.merges) + "}";
+    out += "],\"migrations\":" + std::to_string(tp.migrations);
+    out += ",\"entries_shipped\":" + std::to_string(tp.entries_shipped);
+    out += ",\"splits\":" + std::to_string(tp.splits);
+    out += ",\"merges\":" + std::to_string(tp.merges) + "}";
   }
   out += "]}";
   return out;

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
+
+#include "obs/json.hpp"
 
 namespace mantle::obs {
 
@@ -26,31 +27,6 @@ Histogram& scratch_histogram() {
   return h;
 }
 
-/// Minimal JSON string escaping (names and help strings are ASCII-ish,
-/// but a policy name could smuggle a quote).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void MetricsRegistry::note_collision_locked() {
@@ -71,17 +47,6 @@ std::vector<std::string> MetricsRegistry::counter_names() const {
   for (const auto& [name, e] : entries_)
     if (e.kind == Kind::kCounter) out.push_back(name);
   return out;
-}
-
-std::string format_metric_value(double x) {
-  if (!std::isfinite(x)) return x > 0 ? "1e999" : (x < 0 ? "-1e999" : "0");
-  char buf[64];
-  if (x == std::floor(x) && std::fabs(x) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", x);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", x);
-  }
-  return buf;
 }
 
 // ---------------------------------------------------------------------------
@@ -271,12 +236,12 @@ std::string MetricsRegistry::to_json() const {
       case Kind::kCounter:
         if (!counters.empty()) counters += ",";
         std::snprintf(buf, sizeof(buf), "%" PRIu64, e.counter->value());
-        counters += "\"" + json_escape(name) + "\":" + buf;
+        counters += json_string(name) + ":" + buf;
         break;
       case Kind::kGauge:
         if (!gauges.empty()) gauges += ",";
-        gauges += "\"" + json_escape(name) +
-                  "\":" + format_metric_value(e.gauge->value());
+        gauges +=
+            json_string(name) + ":" + format_metric_value(e.gauge->value());
         break;
       case Kind::kHistogram: {
         if (!histograms.empty()) histograms += ",";
@@ -291,7 +256,7 @@ std::string MetricsRegistry::to_json() const {
           bkt += "{\"le\":" + le + ",\"count\":" + buf + "}";
         }
         std::snprintf(buf, sizeof(buf), "%" PRIu64, e.histogram->count());
-        histograms += "\"" + json_escape(name) + "\":{\"buckets\":[" + bkt +
+        histograms += json_string(name) + ":{\"buckets\":[" + bkt +
                       "],\"sum\":" + format_metric_value(e.histogram->sum()) +
                       ",\"count\":" + buf + ",\"quantiles\":{\"p50\":" +
                       format_metric_value(estimate_quantile(bounds, counts, 0.5)) +

@@ -18,9 +18,10 @@
 /// sweep without locking.
 ///
 /// Determinism contract: exporters iterate a name-ordered map and format
-/// numbers with a fixed printf recipe, so a single-threaded simulator
-/// run produces byte-identical snapshots for identical (seed, config)
-/// inputs — the property the reproducibility suite asserts.
+/// numbers with format_metric_value() (obs/json.hpp), so a
+/// single-threaded simulator run produces byte-identical snapshots for
+/// identical (seed, config) inputs — the property the reproducibility
+/// suite asserts.
 
 namespace mantle::obs {
 
@@ -140,11 +141,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;  // name-ordered => stable exports
 };
-
-/// Deterministic number formatting shared by both exporters: integers
-/// print without a fraction, everything else as shortest round-trip-ish
-/// "%.17g".
-std::string format_metric_value(double x);
 
 /// Quantile estimation over fixed buckets (Prometheus
 /// histogram_quantile style): find the bucket holding rank q*count in

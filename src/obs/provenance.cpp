@@ -5,30 +5,13 @@
 #include <cstring>
 #include <map>
 
-#include "obs/json_reader.hpp"
-#include "obs/metrics.hpp"  // format_metric_value
+#include "obs/json.hpp"
 
 namespace mantle::obs {
 
 namespace {
 
-using jsonr::JsonReader;
 using jsonr::JsonValue;
-
-std::string u64(std::uint64_t x) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, x);
-  return buf;
-}
-
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
 
 /// Short fixed-precision number for the explain narrative (the JSON
 /// path uses format_metric_value for exact round-trips instead).
@@ -89,19 +72,19 @@ std::string DecisionRecord::to_json() const {
     if (i > 0) out += ",";
     out += alive[i] != 0 ? "1" : "0";
   }
-  out += "],\"at_us\":" + u64(static_cast<std::uint64_t>(at));
-  out += ",\"cache_hits\":" + u64(cache_hits);
-  out += ",\"cache_misses\":" + u64(cache_misses);
-  out += ",\"cache_recompiles\":" + u64(cache_recompiles);
-  out += ",\"digest\":" + json_str(digest);
+  out += "],\"at_us\":" + std::to_string(at);
+  out += ",\"cache_hits\":" + std::to_string(cache_hits);
+  out += ",\"cache_misses\":" + std::to_string(cache_misses);
+  out += ",\"cache_recompiles\":" + std::to_string(cache_recompiles);
+  out += ",\"digest\":" + json_string(digest);
   out += ",\"go\":" + std::string(go ? "true" : "false");
-  out += ",\"hook_errors\":" + u64(hook_errors);
+  out += ",\"hook_errors\":" + std::to_string(hook_errors);
   out += ",\"loads\":[";
   for (std::size_t i = 0; i < loads.size(); ++i) {
     if (i > 0) out += ",";
     out += format_metric_value(loads[i]);
   }
-  out += "],\"lua_steps\":" + u64(lua_steps);
+  out += "],\"lua_steps\":" + std::to_string(lua_steps);
   out += ",\"mdss\":[";
   for (std::size_t i = 0; i < mdss.size(); ++i) {
     const HookInputRow& r = mdss[i];
@@ -114,12 +97,12 @@ std::string DecisionRecord::to_json() const {
     out += ",\"req\":" + format_metric_value(r.req_rate) + "}";
   }
   out += "],\"min_load\":" + format_metric_value(min_load);
-  out += ",\"policy\":" + json_str(policy);
+  out += ",\"policy\":" + json_string(policy);
   out += ",\"rank\":" + std::to_string(rank);
   out += ",\"selectors\":[";
   for (std::size_t i = 0; i < selectors.size(); ++i) {
     if (i > 0) out += ",";
-    out += json_str(selectors[i]);
+    out += json_string(selectors[i]);
   }
   out += "],\"ships\":[";
   for (std::size_t i = 0; i < ships.size(); ++i) {
@@ -130,16 +113,16 @@ std::string DecisionRecord::to_json() const {
     for (std::size_t j = 0; j < s.picks.size(); ++j) {
       const ProvenancePick& p = s.picks[j];
       if (j > 0) out += ",";
-      out += "{\"entries\":" + u64(p.entries);
-      out += ",\"frag\":" + json_str(p.frag);
+      out += "{\"entries\":" + std::to_string(p.entries);
+      out += ",\"frag\":" + json_string(p.frag);
       out += ",\"load\":" + format_metric_value(p.load) + "}";
     }
-    out += "],\"pool\":" + u64(s.pool);
+    out += "],\"pool\":" + std::to_string(s.pool);
     out += ",\"shipped\":" + format_metric_value(s.shipped);
     out += ",\"target\":" + std::to_string(s.target) + "}";
   }
   out += "]";
-  if (span >= 0) out += ",\"span\":" + u64(static_cast<std::uint64_t>(span));
+  if (span >= 0) out += ",\"span\":" + std::to_string(span);
   out += ",\"targets\":[";
   for (std::size_t i = 0; i < targets.size(); ++i) {
     if (i > 0) out += ",";
@@ -184,7 +167,8 @@ void ProvenanceRecorder::clear() {
 
 std::string ProvenanceRecorder::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"dropped\":" + u64(dropped_) + ",\"records\":[";
+  std::string out =
+      "{\"dropped\":" + std::to_string(dropped_) + ",\"records\":[";
   for (std::size_t i = 0; i < records_.size(); ++i) {
     if (i > 0) out += ",";
     out += records_[i].to_json();
@@ -195,7 +179,7 @@ std::string ProvenanceRecorder::to_json() const {
 
 std::vector<DecisionRecord> parse_provenance_json(const std::string& json) {
   std::vector<DecisionRecord> out;
-  const JsonValue root = JsonReader(json).parse();
+  const JsonValue root = jsonr::parse(json);
   const JsonValue* records = root.get("records");
   if (records == nullptr || records->type != JsonValue::Type::Array)
     return out;
@@ -318,8 +302,7 @@ std::string render_explain(const std::vector<DecisionRecord>& records,
 
     out += "[t=" + secs(rec.at) + " tick " + std::to_string(tick) + "] rank " +
            std::to_string(rec.rank);
-    if (rec.span >= 0)
-      out += " span " + u64(static_cast<std::uint64_t>(rec.span));
+    if (rec.span >= 0) out += " span " + std::to_string(rec.span);
     out += " policy=" + rec.policy + ": ";
     out += rec.go ? "GO" : "HOLD";
     out += " — load " + num(my_load);
@@ -353,11 +336,12 @@ std::string render_explain(const std::vector<DecisionRecord>& records,
     }();
     for (const ProvenanceShipment& ship : rec.ships) {
       out += "  ship -> r" + std::to_string(ship.target) + ": goal " +
-             num(ship.goal) + ", pool " + u64(ship.pool) + ", picked " +
-             u64(ship.picks.size()) + ", shipped " + num(ship.shipped) + "\n";
+             num(ship.goal) + ", pool " + std::to_string(ship.pool) +
+             ", picked " + std::to_string(ship.picks.size()) + ", shipped " +
+             num(ship.shipped) + "\n";
       for (const ProvenancePick& pick : ship.picks) {
         out += "    - " + pick.frag + " load " + num(pick.load) + " entries " +
-               u64(pick.entries);
+               std::to_string(pick.entries);
         // Resolve the migration outcome via the span tree.
         std::string outcome = "unresolved";
         if (starts != nullptr)
@@ -376,17 +360,18 @@ std::string render_explain(const std::vector<DecisionRecord>& records,
       }
     }
 
-    out += "  eval: " + u64(rec.lua_steps) + " Lua steps, cache " +
-           u64(rec.cache_hits) + " hit/" + u64(rec.cache_misses) + " miss";
+    out += "  eval: " + std::to_string(rec.lua_steps) + " Lua steps, cache " +
+           std::to_string(rec.cache_hits) + " hit/" +
+           std::to_string(rec.cache_misses) + " miss";
     if (rec.cache_recompiles > 0)
-      out += "/" + u64(rec.cache_recompiles) + " recompile";
-    out += ", " + u64(rec.hook_errors) + " hook errors";
+      out += "/" + std::to_string(rec.cache_recompiles) + " recompile";
+    out += ", " + std::to_string(rec.hook_errors) + " hook errors";
     if (rec.truncated) out += " [inputs truncated]";
     out += " digest=" + rec.digest + "\n";
   }
-  out += u64(shown) + " decision(s)";
+  out += std::to_string(shown) + " decision(s)";
   if (shown != records.size())
-    out += " (of " + u64(static_cast<std::uint64_t>(records.size())) + ")";
+    out += " (of " + std::to_string(records.size()) + ")";
   out += "\n";
   return out;
 }

@@ -4,7 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/metrics.hpp"  // format_metric_value
+#include "obs/json.hpp"
 #include "obs/profile.hpp"
 
 namespace mantle::obs {
@@ -41,33 +41,6 @@ const char* event_kind_name(EventKind kind) {
   }
   return "?";
 }
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 void TraceSink::record(TraceEvent ev) {
   std::lock_guard<std::mutex> lk(mu_);
@@ -157,15 +130,14 @@ std::string TraceSink::to_json() const {
       std::snprintf(buf, sizeof(buf), ",\"parent\":%" PRId64, ev.parent);
       out += buf;
     }
-    if (!ev.detail.empty())
-      out += ",\"detail\":\"" + json_escape(ev.detail) + "\"";
+    if (!ev.detail.empty()) out += ",\"detail\":" + json_string(ev.detail);
     if (!ev.fields.empty()) {
       out += ",\"fields\":{";
       bool first_f = true;
       for (const auto& [k, v] : ev.fields) {
         if (!first_f) out += ",";
         first_f = false;
-        out += "\"" + json_escape(k) + "\":" + format_metric_value(v);
+        out += json_string(k) + ":" + format_metric_value(v);
       }
       out += "}";
     }
@@ -210,14 +182,13 @@ std::string TraceSink::to_perfetto(const Profiler* profiler) const {
     const auto arg = [&](const std::string& k, const std::string& v) {
       if (!first) out += ",";
       first = false;
-      out += "\"" + k + "\":" + v;
+      out += json_string(k) + ":" + v;
     };
     if (ev.peer >= 0) arg("peer", std::to_string(ev.peer));
     if (ev.span >= 0) arg("span", std::to_string(ev.span));
     if (ev.parent >= 0) arg("parent", std::to_string(ev.parent));
-    if (!ev.detail.empty()) arg("detail", "\"" + json_escape(ev.detail) + "\"");
-    for (const auto& [k, v] : ev.fields)
-      arg(json_escape(k), format_metric_value(v));
+    if (!ev.detail.empty()) arg("detail", json_string(ev.detail));
+    for (const auto& [k, v] : ev.fields) arg(k, format_metric_value(v));
     out += "}}";
   };
 

@@ -1,6 +1,5 @@
 #include "safety/fuzz.hpp"
 
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -10,6 +9,7 @@
 #include "common/rng.hpp"
 #include "core/mantle.hpp"
 #include "lua/interp.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -23,12 +23,6 @@ namespace {
 
 constexpr double kQNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
-
-std::string u64s(std::uint64_t x) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, x);
-  return buf;
-}
 
 std::string num_sig(double d) {
   if (std::isnan(d)) return "nan";
@@ -54,19 +48,6 @@ std::string value_sig(const lua::Value& v, int depth = 0) {
   if (v.is_callable()) return "<function>";
   if (v.is_number()) return num_sig(v.number());
   return v.to_display_string();
-}
-
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out + "\"";
 }
 
 // ---------------------------------------------------------------------------
@@ -243,7 +224,7 @@ CaseFailure run_view_once(const ViewCase& c, std::uint64_t budget,
     if (mantle) {
       ++*checks;
       const auto* mb = static_cast<core::MantleBalancer*>(b.get());
-      *sig += ";errs=" + u64s(mb->hook_errors());
+      *sig += ";errs=" + std::to_string(mb->hook_errors());
       if (mb->hook_errors() > 0 && mb->last_error().empty())
         return {"error-reported", "hook_errors without last_error"};
     }
@@ -763,7 +744,7 @@ FuzzResult run_fuzz(const FuzzConfig& cfg, obs::MetricsRegistry* metrics,
 std::string FuzzResult::corpus() const {
   std::string out;
   for (const FuzzFailure& f : failures) {
-    out += "iter=" + u64s(f.iteration) + " " + f.reproducer;
+    out += "iter=" + std::to_string(f.iteration) + " " + f.reproducer;
     if (!f.detail.empty()) out += " :: " + f.detail;
     out += "\n";
   }
@@ -771,20 +752,20 @@ std::string FuzzResult::corpus() const {
 }
 
 std::string FuzzResult::to_json() const {
-  std::string out = "{\"checks\":" + u64s(checks);
+  std::string out = "{\"checks\":" + std::to_string(checks);
   out += ",\"failures\":[";
   bool first = true;
   for (const FuzzFailure& f : failures) {
     if (!first) out += ",";
     first = false;
-    out += "{\"detail\":" + json_str(f.detail);
-    out += ",\"invariant\":" + json_str(f.invariant);
-    out += ",\"iteration\":" + u64s(f.iteration);
-    out += ",\"level\":" + json_str(f.level);
-    out += ",\"reproducer\":" + json_str(f.reproducer);
-    out += ",\"subject\":" + json_str(f.subject) + "}";
+    out += "{\"detail\":" + obs::json_string(f.detail);
+    out += ",\"invariant\":" + obs::json_string(f.invariant);
+    out += ",\"iteration\":" + std::to_string(f.iteration);
+    out += ",\"level\":" + obs::json_string(f.level);
+    out += ",\"reproducer\":" + obs::json_string(f.reproducer);
+    out += ",\"subject\":" + obs::json_string(f.subject) + "}";
   }
-  out += "],\"iterations\":" + u64s(iterations) + "}";
+  out += "],\"iterations\":" + std::to_string(iterations) + "}";
   return out;
 }
 

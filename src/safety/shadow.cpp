@@ -8,6 +8,7 @@
 #include <map>
 #include <sstream>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace mantle::safety {
@@ -17,25 +18,6 @@ using cluster::HeartbeatPayload;
 using core::MantlePolicy;
 
 namespace {
-
-std::string u64(std::uint64_t x) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, x);
-  return buf;
-}
-
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out + "\"";
-}
 
 bool is_budget_error(const std::string& err) {
   return err.find("instruction budget exceeded") != std::string::npos;
@@ -204,7 +186,7 @@ ShadowVerdict shadow_evaluate(const std::vector<obs::TraceEvent>& recorded,
             goal >= 0.5 * c.load && (pick == nullptr || c.seq > pick->seq))
           pick = &c;
       if (pick == nullptr) {
-        chunks.push_back(Chunk{"shadow:c" + u64(++chunk_counter),
+        chunks.push_back(Chunk{"shadow:c" + std::to_string(++chunk_counter),
                                static_cast<int>(me), -1, 0.0, 0});
         pick = &chunks.back();
       }
@@ -233,7 +215,7 @@ ShadowVerdict shadow_evaluate(const std::vector<obs::TraceEvent>& recorded,
   } else if (v.budget_exhaustions > cfg.max_budget_exhaustions) {
     v.accepted = false;
     v.reason = "hook instruction budget exhausted " +
-               u64(v.budget_exhaustions) + " time(s) during replay";
+               std::to_string(v.budget_exhaustions) + " time(s) during replay";
   } else if (v.report.tripped() > 0) {
     std::string which;
     for (const char* d : {"dead-letter-leak", "ping-pong", "stuck-export",
@@ -246,8 +228,9 @@ ShadowVerdict shadow_evaluate(const std::vector<obs::TraceEvent>& recorded,
                  cfg.max_hook_error_rate *
                      static_cast<double>(v.hook_calls)) {
     v.accepted = false;
-    v.reason = "hook error rate " + u64(v.hook_errors) + "/" +
-               u64(v.hook_calls) + " exceeds the acceptance threshold";
+    v.reason = "hook error rate " + std::to_string(v.hook_errors) + "/" +
+               std::to_string(v.hook_calls) +
+               " exceeds the acceptance threshold";
   } else {
     v.accepted = true;
   }
@@ -293,14 +276,14 @@ std::string gate_injection(const std::vector<obs::TraceEvent>& recorded,
 std::string ShadowVerdict::to_json() const {
   std::string out = "{\"accepted\":";
   out += accepted ? "true" : "false";
-  out += ",\"reason\":" + json_str(reason);
+  out += ",\"reason\":" + obs::json_string(reason);
   out += ",\"summary\":{";
-  out += "\"budget_exhaustions\":" + u64(budget_exhaustions);
-  out += ",\"exports\":" + u64(exports);
-  out += ",\"hook_calls\":" + u64(hook_calls);
-  out += ",\"hook_errors\":" + u64(hook_errors);
+  out += "\"budget_exhaustions\":" + std::to_string(budget_exhaustions);
+  out += ",\"exports\":" + std::to_string(exports);
+  out += ",\"hook_calls\":" + std::to_string(hook_calls);
+  out += ",\"hook_errors\":" + std::to_string(hook_errors);
   out += ",\"num_ranks\":" + std::to_string(num_ranks);
-  out += ",\"ticks_replayed\":" + u64(ticks_replayed);
+  out += ",\"ticks_replayed\":" + std::to_string(ticks_replayed);
   out += "},\"report\":" + report.to_json() + "}";
   return out;
 }

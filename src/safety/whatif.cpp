@@ -5,21 +5,11 @@
 #include <map>
 #include <memory>
 
-#include "obs/metrics.hpp"
+#include "obs/json.hpp"
 
 namespace mantle::safety {
 
 namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 std::string render_go(bool go) { return go ? "go" : "hold"; }
 
@@ -158,12 +148,12 @@ std::string WhatifResult::to_json() const {
     std::snprintf(buf, sizeof(buf), "{\"at_us\":%" PRId64 ",",
                   static_cast<std::int64_t>(d.at));
     out += buf;
-    out += "\"digest\":\"" + escape(d.digest) + "\",";
-    out += "\"field\":\"" + escape(d.field) + "\",";
+    out += "\"digest\":" + obs::json_string(d.digest) + ",";
+    out += "\"field\":" + obs::json_string(d.field) + ",";
     std::snprintf(buf, sizeof(buf), "\"rank\":%d,", d.rank);
     out += buf;
-    out += "\"recorded\":\"" + escape(d.recorded) + "\",";
-    out += "\"replayed\":\"" + escape(d.replayed) + "\"}";
+    out += "\"recorded\":" + obs::json_string(d.recorded) + ",";
+    out += "\"replayed\":" + obs::json_string(d.replayed) + "}";
   }
   out += "]}";
   return out;

@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace mantle::obs {
 namespace {
 

@@ -46,6 +46,7 @@
 #include "core/mantle.hpp"
 #include "fault/fault.hpp"
 #include "obs/analyze.hpp"
+#include "obs/json.hpp"
 #include "obs/provenance.hpp"
 #include "safety/fuzz.hpp"
 #include "safety/shadow.hpp"
@@ -417,7 +418,7 @@ int main(int argc, char** argv) {
       if (opt.json) {
         if (!first) json_out += ",";
         first = false;
-        json_out += "\"" + stem + "\":" + res.to_json();
+        json_out += mantle::obs::json_string(stem) + ":" + res.to_json();
       } else {
         std::printf("== whatif %s vs %s ==\n%s\n", opt.whatif_policy.c_str(),
                     stem.c_str(), res.to_table().c_str());
@@ -559,7 +560,7 @@ int main(int argc, char** argv) {
     for (const Analyzed& r : runs) {
       if (!first) out += ",";
       first = false;
-      out += "\"" + r.stem + "\":" + r.report.to_json();
+      out += mantle::obs::json_string(r.stem) + ":" + r.report.to_json();
     }
     out += "},\"tripped\":" + std::to_string(tripped) + "}";
     std::printf("%s\n", out.c_str());
