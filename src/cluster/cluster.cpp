@@ -154,36 +154,30 @@ void MdsNode::on_arrival(Request r) {
   maybe_start();
 }
 
-void MdsNode::on_heartbeat(const HeartbeatPayload& hb) {
-  if (hb.rank >= 0 && static_cast<std::size_t>(hb.rank) < hb_.size()) {
-    const Time now = cluster_.engine().now();
-    if (cluster_.config().hb_stale_guard) {
-      // A payload from a dead incarnation (duplicated/delayed across the
-      // sender's crash) or one older than what is already stored must not
-      // overwrite fresher state: after a takeover it would resurrect the
-      // dead rank's pre-crash load in every survivor's view.
-      const HeartbeatPayload& cur = hb_[static_cast<std::size_t>(hb.rank)];
-      if (hb.epoch < cluster_.crash_epoch(hb.rank) || hb.epoch < cur.epoch ||
-          (hb.epoch == cur.epoch && hb.sent_at < cur.sent_at)) {
-        ++cluster_.hb_stale_rejected_;
-        cluster_.om_.hb_stale_rejected.inc();
-        cluster_.trace_.event(
-            now, obs::EventKind::HeartbeatStaleRejected, rank_, hb.rank, {},
-            {{"sent_at_us", static_cast<double>(hb.sent_at)},
-             {"epoch", static_cast<double>(hb.epoch)},
-             {"current_epoch",
-              static_cast<double>(cluster_.crash_epoch(hb.rank))}});
-        return;
-      }
+void MdsNode::on_heartbeat(const HeartbeatPayload& hb, Time arrival) {
+  if (hb.rank < 0 || static_cast<std::size_t>(hb.rank) >= hb_.size()) return;
+  if (cluster_.config().hb_stale_guard) {
+    // A payload from a dead incarnation (duplicated/delayed across the
+    // sender's crash) or one older than what is already stored must not
+    // overwrite fresher state: after a takeover it would resurrect the
+    // dead rank's pre-crash load in every survivor's view.
+    const HeartbeatPayload& cur = hb_[static_cast<std::size_t>(hb.rank)];
+    if (hb.epoch < cluster_.crash_epoch(hb.rank) || hb.epoch < cur.epoch ||
+        (hb.epoch == cur.epoch && hb.sent_at < cur.sent_at)) {
+      ++cluster_.hb_stale_rejected_;
+      cluster_.om_.hb_stale_rejected.inc();
+      ++hb_summary_.stale;
+      return;
     }
-    hb_[static_cast<std::size_t>(hb.rank)] = hb;
-    cluster_.om_.hb_received.inc();
-    cluster_.trace_.event(
-        now, obs::EventKind::HeartbeatReceived, rank_, hb.rank, {},
-        {{"age_us", static_cast<double>(now - hb.sent_at)},
-         {"load", hb.all_metaload},
-         {"cpu", hb.cpu_pct}});
   }
+  hb_[static_cast<std::size_t>(hb.rank)] = hb;
+  cluster_.om_.hb_received.inc();
+  const Time age = arrival > hb.sent_at ? arrival - hb.sent_at : 0;
+  if (hb_summary_.applied == 0 || age < hb_summary_.min_age)
+    hb_summary_.min_age = age;
+  if (hb_summary_.applied == 0 || age > hb_summary_.max_age)
+    hb_summary_.max_age = age;
+  ++hb_summary_.applied;
 }
 
 void MdsNode::maybe_start() {
@@ -501,6 +495,16 @@ void MdsNode::tick() {
   const Balancer::EvalStats ev0 =
       balancer_ != nullptr ? balancer_->eval_stats() : Balancer::EvalStats{};
 
+  // What arrived since the last tick, as one summary event: the table
+  // itself is what the balancer reads below.
+  cluster_.trace_.event(
+      now, obs::EventKind::HeartbeatReceived, rank_, -1, {},
+      {{"applied", static_cast<double>(hb_summary_.applied)},
+       {"stale", static_cast<double>(hb_summary_.stale)},
+       {"min_age_us", static_cast<double>(hb_summary_.min_age)},
+       {"max_age_us", static_cast<double>(hb_summary_.max_age)}});
+  hb_summary_ = {};
+
   HeartbeatPayload me = measure();
   hb_[static_cast<std::size_t>(rank_)] = me;
 
@@ -508,22 +512,21 @@ void MdsNode::tick() {
   // and how far in the past varies per delivery. The network fault layer
   // may drop a delivery, duplicate it, or stretch its delay further.
   NetworkFaults* nf = cluster_.network_faults();
+  std::uint64_t sent = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t duplicated = 0;
   for (int p = 0; p < cluster_.num_mds(); ++p) {
     if (p == rank_) continue;
     if (nf != nullptr && nf->drop_heartbeat(rank_, p)) {
-      cluster_.om_.hb_dropped.inc();
-      cluster_.trace_.event(now, obs::EventKind::HeartbeatDropped, rank_, p);
+      ++dropped;
       continue;
     }
     int copies = 1;
     if (nf != nullptr && nf->duplicate_heartbeat(rank_, p)) {
       copies = 2;
-      cluster_.om_.hb_duplicated.inc();
-      cluster_.trace_.event(now, obs::EventKind::HeartbeatDuplicated, rank_, p);
+      ++duplicated;
     }
-    cluster_.om_.hb_sent.inc();
-    cluster_.trace_.event(now, obs::EventKind::HeartbeatSent, rank_, p, {},
-                          {{"load", me.all_metaload}, {"cpu", me.cpu_pct}});
+    ++sent;
     for (int c = 0; c < copies; ++c) {
       Time delay = cfg.hb_delay;
       if (cfg.hb_jitter_frac > 0.0) {
@@ -533,10 +536,20 @@ void MdsNode::tick() {
       }
       if (nf != nullptr) delay += nf->extra_heartbeat_delay(rank_, p);
       cluster_.engine().schedule_after(delay, [this, p, me]() {
-        if (cluster_.is_up(p)) cluster_.node(p).on_heartbeat(me);
+        if (cluster_.is_up(p))
+          cluster_.node(p).on_heartbeat(me, cluster_.engine().now());
       });
     }
   }
+  cluster_.om_.hb_sent.inc(sent);
+  cluster_.om_.hb_dropped.inc(dropped);
+  cluster_.om_.hb_duplicated.inc(duplicated);
+  cluster_.trace_.event(now, obs::EventKind::HeartbeatSent, rank_, -1, {},
+                        {{"load", me.all_metaload},
+                         {"cpu", me.cpu_pct},
+                         {"sent", static_cast<double>(sent)},
+                         {"dropped", static_cast<double>(dropped)},
+                         {"duplicated", static_cast<double>(duplicated)}});
 
   if (balancer_ != nullptr) {
     ClusterView view;

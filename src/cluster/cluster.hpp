@@ -330,8 +330,23 @@ class MdsNode {
   /// A request arrives over the network (from a client or a forward).
   void on_arrival(Request r);
 
-  /// Heartbeat from a peer lands after its network delay.
-  void on_heartbeat(const HeartbeatPayload& hb);
+  /// Heartbeat from a peer lands (at `arrival`, after its network delay):
+  /// the stale guard may refuse it, otherwise it replaces the sender's
+  /// row in the table. Either way it is counted in hb_summary().
+  void on_heartbeat(const HeartbeatPayload& hb, Time arrival);
+
+  /// Deliveries this node handled since its last tick: the fields of the
+  /// tick's `hb-received` trace summary. Ages are arrival - sent_at over
+  /// the applied deliveries (0 when none was applied).
+  struct HbSummary {
+    std::uint64_t applied = 0;
+    std::uint64_t stale = 0;
+    Time min_age = 0;
+    Time max_age = 0;
+
+    bool operator==(const HbSummary&) const = default;
+  };
+  const HbSummary& hb_summary() const { return hb_summary_; }
 
   /// Periodic balancer tick: measure, send heartbeats, maybe rebalance.
   void tick();
@@ -377,6 +392,7 @@ class MdsNode {
   std::uint64_t done_in_window_ = 0;
 
   std::vector<HeartbeatPayload> hb_;  // last received from each rank
+  HbSummary hb_summary_;
   /// Consecutive ticks each peer has looked fresh (non-laggy); a peer
   /// must reach laggy_readmit_ticks before it is trusted again.
   std::vector<int> fresh_streak_;

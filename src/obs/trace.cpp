@@ -13,8 +13,6 @@ const char* event_kind_name(EventKind kind) {
   switch (kind) {
     case EventKind::HeartbeatSent: return "hb-sent";
     case EventKind::HeartbeatReceived: return "hb-received";
-    case EventKind::HeartbeatDropped: return "hb-dropped";
-    case EventKind::HeartbeatDuplicated: return "hb-duplicated";
     case EventKind::WhenDecision: return "when";
     case EventKind::WhereDecision: return "where";
     case EventKind::HowmuchDecision: return "howmuch";
@@ -34,7 +32,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::PolicyRecompile: return "policy-recompile";
     case EventKind::ShadowVerdict: return "shadow-verdict";
     case EventKind::FuzzCrash: return "fuzz-crash";
-    case EventKind::HeartbeatStaleRejected: return "hb-stale-rejected";
     case EventKind::ExportRetry: return "export-retry";
     case EventKind::InvariantViolation: return "invariant-violation";
     case EventKind::ProvenanceRecorded: return "provenance-decision";

@@ -13,8 +13,8 @@
 /// The tracing half of the observability layer: a bounded, append-only
 /// sink of typed events with *simulated* timestamps. Everything an
 /// operator would want on a timeline when debugging a balancing run goes
-/// through here — heartbeat traffic, the when/where/howmuch decisions
-/// with their inputs and outputs, the 2PC export phases, dirfrag
+/// through here — per-tick heartbeat summaries, the when/where/howmuch
+/// decisions with their inputs and outputs, the 2PC export phases, dirfrag
 /// split/merge, crash/takeover/replay, dead-letter parking and fault
 /// injections. Because timestamps come from the discrete-event clock and
 /// payloads are appended in dispatch order, two identical seeded runs
@@ -33,10 +33,8 @@ namespace mantle::obs {
 using mantle::Time;
 
 enum class EventKind : int {
-  HeartbeatSent = 0,
-  HeartbeatReceived,
-  HeartbeatDropped,
-  HeartbeatDuplicated,
+  HeartbeatSent = 0,  ///< per sender tick: its payload and fan-out counts
+  HeartbeatReceived,  ///< per receiver tick: deliveries since the last one
   WhenDecision,
   WhereDecision,
   HowmuchDecision,
@@ -56,7 +54,6 @@ enum class EventKind : int {
   PolicyRecompile,
   ShadowVerdict,  ///< shadow evaluation accepted/rejected a candidate policy
   FuzzCrash,      ///< hook-input fuzzer found an invariant violation
-  HeartbeatStaleRejected,  ///< stale-epoch/out-of-order heartbeat refused
   ExportRetry,             ///< aborted 2PC export re-attempted after backoff
   InvariantViolation,      ///< chaos invariant checker caught a violation
   ProvenanceRecorded,      ///< decision provenance record captured this tick

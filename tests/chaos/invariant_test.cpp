@@ -126,7 +126,7 @@ TEST(Invariant, HeartbeatRegressionIsCaughtWhenGuardIsOff) {
   hb.rank = 0;
   hb.epoch = 1;
   hb.sent_at = h.engine.now();
-  h.cluster.node(1).on_heartbeat(hb);
+  h.cluster.node(1).on_heartbeat(hb, h.engine.now());
 
   InvariantChecker chk(h.cluster);
   chk.check_tick(h.engine.now());
@@ -135,7 +135,7 @@ TEST(Invariant, HeartbeatRegressionIsCaughtWhenGuardIsOff) {
 
   hb.epoch = 0;  // a delayed pre-crash payload lands and regresses state
   hb.sent_at = h.engine.now() / 2;
-  h.cluster.node(1).on_heartbeat(hb);
+  h.cluster.node(1).on_heartbeat(hb, h.engine.now());
   chk.check_tick(h.engine.now());
   EXPECT_TRUE(has_violation(chk, "hb-regressed"));
 }
@@ -150,10 +150,10 @@ TEST(Invariant, GuardPreventsHeartbeatRegression) {
   hb.rank = 0;
   hb.epoch = 1;
   hb.sent_at = h.engine.now();
-  h.cluster.node(1).on_heartbeat(hb);
+  h.cluster.node(1).on_heartbeat(hb, h.engine.now());
   hb.epoch = 0;
   hb.sent_at = h.engine.now() / 2;
-  h.cluster.node(1).on_heartbeat(hb);  // rejected by the guard
+  h.cluster.node(1).on_heartbeat(hb, h.engine.now());  // the guard rejects
 
   InvariantChecker chk(h.cluster);
   chk.check_tick(h.engine.now());

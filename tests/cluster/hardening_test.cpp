@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -83,7 +84,7 @@ TEST(Hardening, StaleEpochHeartbeatRejectedAfterCrash) {
   Harness h(3);
   auto& observer = h.cluster.node(1);
 
-  observer.on_heartbeat(make_hb(0, 0, 100));
+  observer.on_heartbeat(make_hb(0, 0, 100), h.engine.now());
   EXPECT_EQ(observer.heartbeats()[0].sent_at, 100u);
 
   // Rank 0 dies: its next incarnation is epoch 1. A heartbeat duplicated
@@ -91,13 +92,22 @@ TEST(Hardening, StaleEpochHeartbeatRejectedAfterCrash) {
   ASSERT_TRUE(h.cluster.crash_mds(0));
   EXPECT_EQ(h.cluster.crash_epoch(0), 1u);
 
-  observer.on_heartbeat(make_hb(0, 0, 200));
+  observer.on_heartbeat(make_hb(0, 0, 200), h.engine.now());
   EXPECT_EQ(observer.heartbeats()[0].sent_at, 100u) << "stale epoch applied";
   EXPECT_EQ(h.cluster.stale_heartbeats_rejected(), 1u);
-  EXPECT_EQ(h.trace_count(obs::EventKind::HeartbeatStaleRejected), 1u);
+  // The observer's next tick reports the rejection in its hb-received
+  // summary.
+  observer.tick();
+  const std::vector<obs::TraceEvent> evs = h.cluster.trace().snapshot();
+  const auto summary = std::find_if(evs.begin(), evs.end(), [](const auto& e) {
+    return e.kind == obs::EventKind::HeartbeatReceived && e.rank == 1;
+  });
+  ASSERT_NE(summary, evs.end());
+  EXPECT_EQ(summary->fields[0], std::make_pair(std::string("applied"), 1.0));
+  EXPECT_EQ(summary->fields[1], std::make_pair(std::string("stale"), 1.0));
 
   // The new incarnation's payloads pass.
-  observer.on_heartbeat(make_hb(0, 1, 300));
+  observer.on_heartbeat(make_hb(0, 1, 300), h.engine.now());
   EXPECT_EQ(observer.heartbeats()[0].sent_at, 300u);
   EXPECT_EQ(h.cluster.stale_heartbeats_rejected(), 1u);
 }
@@ -106,14 +116,15 @@ TEST(Hardening, SameEpochOutOfOrderHeartbeatRejected) {
   Harness h(2);
   auto& observer = h.cluster.node(1);
 
-  observer.on_heartbeat(make_hb(0, 0, 500));
-  observer.on_heartbeat(make_hb(0, 0, 400));  // reordered in the network
+  observer.on_heartbeat(make_hb(0, 0, 500), h.engine.now());
+  // Reordered in the network:
+  observer.on_heartbeat(make_hb(0, 0, 400), h.engine.now());
   EXPECT_EQ(observer.heartbeats()[0].sent_at, 500u);
   EXPECT_EQ(h.cluster.stale_heartbeats_rejected(), 1u);
 
   // An exact duplicate (same epoch, same timestamp) is idempotent, not
   // stale: applying it changes nothing, so it is not counted.
-  observer.on_heartbeat(make_hb(0, 0, 500));
+  observer.on_heartbeat(make_hb(0, 0, 500), h.engine.now());
   EXPECT_EQ(h.cluster.stale_heartbeats_rejected(), 1u);
 }
 
@@ -126,8 +137,9 @@ TEST(Hardening, GuardOffRegressionAppliesStaleState) {
   Harness h(3, cfg);
   auto& observer = h.cluster.node(1);
 
-  observer.on_heartbeat(make_hb(0, 1, 300));
-  observer.on_heartbeat(make_hb(0, 0, 200));  // stale incarnation
+  observer.on_heartbeat(make_hb(0, 1, 300), h.engine.now());
+  // Stale incarnation:
+  observer.on_heartbeat(make_hb(0, 0, 200), h.engine.now());
   EXPECT_EQ(observer.heartbeats()[0].sent_at, 200u) << "guard unexpectedly on";
   EXPECT_EQ(observer.heartbeats()[0].epoch, 0u);
   EXPECT_EQ(h.cluster.stale_heartbeats_rejected(), 0u);
@@ -246,7 +258,8 @@ TEST(Hardening, LaggyPeerReadmittedOnlyAfterFreshStreak) {
   // tick instead lets sim time run past the laggy window so the last
   // heartbeat ages out.
   auto tick_fresh = [&] {
-    h.cluster.node(0).on_heartbeat(make_hb(1, 0, h.engine.now()));
+    h.cluster.node(0).on_heartbeat(make_hb(1, 0, h.engine.now()),
+                                   h.engine.now());
     h.cluster.node(0).tick();
     h.engine.run();  // drain the tick's own heartbeat sends
     return views.back().alive[1] != 0;
@@ -285,7 +298,8 @@ TEST(Hardening, DefaultReadmitIsImmediate) {
   std::vector<ClusterView> views;
   h.cluster.set_balancer(0, std::make_unique<CaptureBalancer>(&views));
 
-  h.cluster.node(0).on_heartbeat(make_hb(1, 0, h.engine.now()));
+  h.cluster.node(0).on_heartbeat(make_hb(1, 0, h.engine.now()),
+                                 h.engine.now());
   h.cluster.node(0).tick();
   h.engine.run();
   EXPECT_NE(views.back().alive[1], 0);
