@@ -299,7 +299,7 @@ RunOutcome run_schedule(ScenarioKind kind, const ChaosSchedule& schedule,
   for (int round = 0; round < 6; ++round) {
     for (MdsRank r = 0; r < cl.num_mds(); ++r)
       if (!cl.is_up(r) && !cl.is_replaying(r)) cl.restart_mds(r);
-    s.engine().run_until(s.engine().now() + 2 * kSec);
+    s.run_extra(2 * kSec);
     bool settled = cl.active_migration_count() == 0 && cl.dead_letter_size() == 0;
     for (MdsRank r = 0; r < cl.num_mds(); ++r) settled &= cl.is_up(r);
     if (settled) break;

@@ -180,6 +180,28 @@ void MdsNode::on_heartbeat(const HeartbeatPayload& hb, Time arrival) {
   ++hb_summary_.applied;
 }
 
+void MdsNode::settle_inbox() {
+  if (inbox_.empty()) return;
+  const sim::Engine& engine = cluster_.engine();
+  const Time now = engine.now();
+  const std::uint64_t point = engine.current_seq();
+  const auto landed = std::partition(
+      inbox_.begin(), inbox_.end(), [now, point](const InboxEntry& d) {
+        return d.arrival < now || (d.arrival == now && d.seq < point);
+      });
+  std::sort(inbox_.begin(), landed,
+            [](const InboxEntry& a, const InboxEntry& b) {
+              return a.arrival != b.arrival ? a.arrival < b.arrival
+                                            : a.seq < b.seq;
+            });
+  // Every change of liveness settles first, so this node has been up (or
+  // down) since the earliest of these landed: one check covers them all.
+  if (cluster_.is_up(rank_))
+    for (auto it = inbox_.begin(); it != landed; ++it)
+      on_heartbeat(it->hb, it->arrival);
+  inbox_.erase(inbox_.begin(), landed);
+}
+
 void MdsNode::maybe_start() {
   if (busy_ || queue_.empty()) return;
   busy_ = true;
@@ -497,6 +519,7 @@ void MdsNode::tick() {
 
   // What arrived since the last tick, as one summary event: the table
   // itself is what the balancer reads below.
+  settle_inbox();
   cluster_.trace_.event(
       now, obs::EventKind::HeartbeatReceived, rank_, -1, {},
       {{"applied", static_cast<double>(hb_summary_.applied)},
@@ -535,10 +558,7 @@ void MdsNode::tick() {
         delay = static_cast<Time>(static_cast<double>(delay) * f);
       }
       if (nf != nullptr) delay += nf->extra_heartbeat_delay(rank_, p);
-      cluster_.engine().schedule_after(delay, [this, p, me]() {
-        if (cluster_.is_up(p))
-          cluster_.node(p).on_heartbeat(me, cluster_.engine().now());
-      });
+      cluster_.send_heartbeat(p, delay, me);
     }
   }
   cluster_.om_.hb_sent.inc(sent);
@@ -772,6 +792,18 @@ void MdsCluster::schedule_tick(MdsRank rank) {
     }
     schedule_tick(rank);
   });
+}
+
+void MdsCluster::send_heartbeat(MdsRank to, Time delay,
+                                const HeartbeatPayload& hb) {
+  const Time arrival = engine_.now() + delay;
+  // A delay that saturates means "never", as it does for schedule_after.
+  if (arrival < engine_.now() || arrival == sim::kTimeMax) return;
+  node(to).inbox_.push_back({arrival, engine_.reserve_seq(), hb});
+}
+
+void MdsCluster::settle_heartbeats() {
+  for (const std::unique_ptr<MdsNode>& n : nodes_) n->settle_inbox();
 }
 
 void MdsCluster::start() {
@@ -1294,6 +1326,7 @@ bool MdsCluster::crash_mds(MdsRank rank) {
   // crash case). Only an already-down rank cannot crash further.
   if (life_[idx] == NodeLife::Down) return false;
 
+  settle_heartbeats();
   const Time now = engine_.now();
   life_[idx] = NodeLife::Down;
   ++crash_epoch_[idx];
@@ -1374,6 +1407,7 @@ bool MdsCluster::restart_mds(MdsRank rank) {
   engine_.schedule_after(replay, [this, rank, epoch]() {
     const auto i = static_cast<std::size_t>(rank);
     if (crash_epoch_[i] != epoch || life_[i] != NodeLife::Replaying) return;
+    settle_heartbeats();
     life_[i] = NodeLife::Up;
     journals_[i]->trim(journals_[i]->next_seq());
     journals_[i]->append("ERestart");

@@ -346,7 +346,10 @@ class MdsNode {
 
     bool operator==(const HbSummary&) const = default;
   };
-  const HbSummary& hb_summary() const { return hb_summary_; }
+  const HbSummary& hb_summary() {
+    settle_inbox();
+    return hb_summary_;
+  }
 
   /// Periodic balancer tick: measure, send heartbeats, maybe rebalance.
   void tick();
@@ -358,7 +361,17 @@ class MdsNode {
   /// Last heartbeat applied from each rank (index = rank; [rank()] is
   /// this node's own latest measurement). Read by the chaos invariant
   /// checker to assert per-sender (epoch, sent_at) never regresses.
-  const std::vector<HeartbeatPayload>& heartbeats() const { return hb_; }
+  ///
+  /// Deliveries are not engine events. Each waits in this node's inbox,
+  /// keyed (arrival, seq) like the event that would have carried it, and
+  /// is applied through on_heartbeat() once that key is behind the
+  /// engine's dispatch point, in key order, whenever the table is read:
+  /// here, in hb_summary(), at this node's tick and at
+  /// MdsCluster::settle_heartbeats().
+  const std::vector<HeartbeatPayload>& heartbeats() {
+    settle_inbox();
+    return hb_;
+  }
 
   /// Fresh metrics snapshot (also what goes into this node's heartbeat).
   HeartbeatPayload measure();
@@ -366,6 +379,8 @@ class MdsNode {
  private:
   friend class MdsCluster;
 
+  /// Apply every inbox entry the engine's dispatch point has passed.
+  void settle_inbox();
   void maybe_start();
   void process_front();
   void complete(Request r, Time svc);
@@ -393,6 +408,13 @@ class MdsNode {
 
   std::vector<HeartbeatPayload> hb_;  // last received from each rank
   HbSummary hb_summary_;
+  /// A heartbeat on the wire to this node (see heartbeats()).
+  struct InboxEntry {
+    Time arrival = 0;
+    std::uint64_t seq = 0;
+    HeartbeatPayload hb;
+  };
+  std::vector<InboxEntry> inbox_;
   /// Consecutive ticks each peer has looked fresh (non-laggy); a peer
   /// must reach laggy_readmit_ticks before it is trusted again.
   std::vector<int> fresh_streak_;
@@ -501,6 +523,19 @@ class MdsCluster {
   /// balancing with whatever subtrees it still owns. Returns false if the
   /// rank was not down.
   bool restart_mds(MdsRank rank);
+
+  /// Put one heartbeat copy on the wire: it lands at `to` after `delay`
+  /// and waits in its inbox until read (see MdsNode::heartbeats()). The
+  /// delivery takes the engine seq its event would have taken, so ties
+  /// with events at the arrival time break as they would for an event.
+  void send_heartbeat(MdsRank to, Time delay, const HeartbeatPayload& hb);
+
+  /// Apply, on every node, each heartbeat that has landed by the engine's
+  /// dispatch point. Runs before anything the receive path reads changes
+  /// (a crash bumps an epoch and downs a receiver; a replay brings one
+  /// back up) and when a Scenario run returns, so the heartbeat counters
+  /// are whole.
+  void settle_heartbeats();
 
   /// Install probabilistic network faults (heartbeat drop/dup/delay).
   /// Caller keeps ownership; pass nullptr to disable.

@@ -159,6 +159,7 @@ std::uint64_t Engine::run_until(Time horizon) {
     }
     bottom_.pop_back();
     now_ = pool_[r].when;
+    cur_seq_ = pool_[r].seq;
     Callback fn = std::move(pool_[r].fn);
     pool_.release(r);
     --size_;
@@ -166,6 +167,7 @@ std::uint64_t Engine::run_until(Time horizon) {
     ++dispatched;
     if (m_dispatched_ != nullptr) m_dispatched_->inc();
   }
+  cur_seq_ = next_seq_;
   if (m_now_s_ != nullptr) m_now_s_->set(to_seconds(now_));
   if (m_pending_ != nullptr) m_pending_->set(static_cast<double>(size_));
   if (m_pool_live_ != nullptr) {

@@ -240,6 +240,20 @@ class Engine {
     schedule_at(when, std::move(fn));
   }
 
+  /// Take the next sequence number without scheduling anything. The seq
+  /// is never dispatched, but it shifts every later seq exactly as a
+  /// scheduled event would: work that is deferred instead of scheduled
+  /// keys itself (when, seq) like the event it replaces and compares that
+  /// key against the dispatch point (now(), current_seq()).
+  std::uint64_t reserve_seq() noexcept { return next_seq_++; }
+
+  /// The seq half of the dispatch point. Inside a callback it is the seq
+  /// of the event being dispatched; between run_until() calls it is the
+  /// first seq that was not yet handed out when the last call returned.
+  /// An event keyed (when, seq) has been dispatched iff (when, seq) <
+  /// (now(), current_seq()).
+  std::uint64_t current_seq() const noexcept { return cur_seq_; }
+
   /// Run until the queue is empty or the horizon is reached. Returns the
   /// number of events dispatched. Every event with `when <= horizon`
   /// fires; on return `now()` is the horizon when work remains pending
@@ -304,6 +318,7 @@ class Engine {
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t cur_seq_ = 0;
   std::size_t size_ = 0;
   std::uint64_t saturated_ = 0;
 

@@ -87,6 +87,7 @@ Time Scenario::run() {
     if (engine_.empty()) break;  // deadlock guard; should not happen
   }
   running_ = false;
+  cluster_->settle_heartbeats();
 
   makespan_ = 0;
   for (const auto& c : clients_)
@@ -96,7 +97,10 @@ Time Scenario::run() {
   return makespan_;
 }
 
-void Scenario::run_extra(Time span) { engine_.run_until(sim_now() + span); }
+void Scenario::run_extra(Time span) {
+  engine_.run_until(sim_now() + span);
+  cluster_->settle_heartbeats();
+}
 
 mantle::SampleSet Scenario::pooled_latencies_ms() const {
   mantle::SampleSet all;

@@ -35,7 +35,8 @@ class Scenario {
   Time sim_now() const { return engine_.now(); }
   EventPool::Stats sim_pool_stats() const { return engine_.pool_stats(); }
   /// Run the simulation a further `span` past its current clock
-  /// (post-run drain loops in the bench harness use this).
+  /// (post-run drain loops in the bench harness use this). Returns, like
+  /// run(), with every heartbeat that landed by then applied.
   void run_extra(Time span);
 
   /// Add a closed-loop client running the given workload. Returns its id.
@@ -51,7 +52,9 @@ class Scenario {
   void add_probe(Time interval, std::function<void(Time)> fn);
 
   /// Run until every client finished or cfg.max_time. Returns makespan
-  /// (time of the last client finishing, or the horizon).
+  /// (time of the last client finishing, or the horizon). Heartbeats that
+  /// landed by then are applied (MdsCluster::settle_heartbeats()), so the
+  /// tables and heartbeat counters read afterwards are whole.
   Time run();
 
   // -- Results -----------------------------------------------------------------
