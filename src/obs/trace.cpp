@@ -49,20 +49,24 @@ void TraceSink::record(TraceEvent ev) {
 }
 
 void TraceSink::event(
-    Time at, EventKind kind, int rank, int peer, std::string detail,
+    Time at, EventKind kind, int rank, int peer, std::string_view detail,
     std::initializer_list<std::pair<const char*, double>> fields, SpanId span,
     SpanId parent) {
-  TraceEvent ev;
+  std::lock_guard<std::mutex> lk(mu_);
+  if (events_.size() >= capacity_) {
+    ++dropped_;
+    return;
+  }
+  TraceEvent& ev = events_.emplace_back();
   ev.at = at;
   ev.kind = kind;
   ev.rank = rank;
   ev.peer = peer;
   ev.span = span;
   ev.parent = parent;
-  ev.detail = std::move(detail);
+  ev.detail = detail;
   ev.fields.reserve(fields.size());
   for (const auto& [k, v] : fields) ev.fields.emplace_back(k, v);
-  record(std::move(ev));
 }
 
 SpanId TraceSink::next_span() {

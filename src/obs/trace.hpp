@@ -4,6 +4,7 @@
 #include <initializer_list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -96,9 +97,11 @@ class TraceSink {
 
   void record(TraceEvent ev);
 
-  /// Convenience builder for call sites.
+  /// Convenience builder for call sites. Stores exactly what record()
+  /// would, but checks the capacity first: a full sink counts the drop
+  /// without building the event's detail string or field vector.
   void event(Time at, EventKind kind, int rank = -1, int peer = -1,
-             std::string detail = {},
+             std::string_view detail = {},
              std::initializer_list<std::pair<const char*, double>> fields = {},
              SpanId span = kNoSpan, SpanId parent = kNoSpan);
 

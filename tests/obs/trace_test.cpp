@@ -34,6 +34,31 @@ TEST(Trace, CapacityCapCountsDrops) {
   sink.clear();
   EXPECT_EQ(sink.size(), 0u);
   EXPECT_EQ(sink.dropped_events(), 0u);
+
+  // event() checks the capacity before it builds anything; it must still
+  // keep exactly the prefix and drop count of building the event and
+  // handing it to record().
+  TraceSink built(3);
+  TraceSink recorded(3);
+  for (int i = 0; i < 5; ++i) {
+    const std::string detail = "frag" + std::to_string(i);
+    built.event(static_cast<Time>(i), EventKind::ExportStart, i, i + 1, detail,
+                {{"entries", i * 2.0}, {"eta_ms", 0.5}}, i, i - 1);
+    TraceEvent ev;
+    ev.at = static_cast<Time>(i);
+    ev.kind = EventKind::ExportStart;
+    ev.rank = i;
+    ev.peer = i + 1;
+    ev.span = i;
+    ev.parent = i - 1;
+    ev.detail = detail;
+    ev.fields = {{"entries", i * 2.0}, {"eta_ms", 0.5}};
+    recorded.record(std::move(ev));
+  }
+  EXPECT_EQ(built.size(), 3u);
+  EXPECT_EQ(built.to_json(), recorded.to_json());
+  EXPECT_EQ(built.dropped_events(), 2u);
+  EXPECT_EQ(built.dropped_events(), recorded.dropped_events());
 }
 
 TEST(Trace, JsonOmitsAbsentParts) {

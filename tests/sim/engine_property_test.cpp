@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <queue>
 #include <tuple>
 #include <vector>
@@ -17,12 +19,15 @@
 namespace mantle::sim {
 namespace {
 
-/// Reference model: the old engine's (when, seq) min-heap.
+/// Reference model: the old engine's (when, seq) min-heap. A reserved
+/// seq is one the heap hands out but never holds.
 class RefQueue {
  public:
   void push(Time when, std::uint64_t id) { q_.emplace(when, seq_++, id); }
+  std::uint64_t reserve() { return seq_++; }
   bool empty() const { return q_.empty(); }
   Time top_when() const { return std::get<0>(q_.top()); }
+  std::uint64_t top_seq() const { return std::get<1>(q_.top()); }
   std::uint64_t pop() {
     const auto [when, seq, id] = q_.top();
     q_.pop();
@@ -63,13 +68,17 @@ TEST(EngineProperty, MatchesReferenceHeapOrder) {
   // With 0-2 children per event (mean 1) the fan-out is a critical
   // branching process: left alone, the 10k seeds grow to ~95M events.
   // Both models stop spawning once kMaxEvents have been scheduled, which
-  // bounds the run at ~1M dispatches.
+  // bounds the run at ~1M dispatches. A third of the dispatches also
+  // reserve a seq (reserve_seq(), as deferred heartbeat deliveries do),
+  // before or after their children.
   constexpr int kSeeds = 10'000;
   constexpr std::uint64_t kMaxEvents = 1'000'000;
   Rng fanout_rng(0xfa11);
   std::vector<std::pair<Time, std::uint64_t>> pending_children;
+  std::uint64_t reserve_where = 0;  // 0: before the children, 1: after
   const auto spawn_children = [&](Time now) {
     pending_children.clear();
+    reserve_where = 2;
     if (next_id >= kMaxEvents) return;
     const std::uint64_t n = fanout_rng.uniform(0, 2);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -81,17 +90,31 @@ TEST(EngineProperty, MatchesReferenceHeapOrder) {
       }
       pending_children.emplace_back(now + d, next_id++);
     }
+    reserve_where = fanout_rng.uniform(0, 5);
   };
 
+  // Every dispatch's (when, seq) and every reserved seq, on each side.
+  std::vector<std::pair<Time, std::uint64_t>> engine_keys;
+  std::vector<std::uint64_t> reserved;
+  std::vector<std::pair<Time, std::uint64_t>> ref_keys;
+  std::vector<std::uint64_t> ref_reserved;
   std::function<void(std::uint64_t)> on_fire = [&](std::uint64_t id) {
     engine_order.push_back(id);
+    engine_keys.emplace_back(e.now(), e.current_seq());
     spawn_children(e.now());
+    if (reserve_where == 0) reserved.push_back(e.reserve_seq());
     for (const auto& [when, cid] : pending_children)
       e.schedule_at(when, [&on_fire, cid] { on_fire(cid); });
+    if (reserve_where == 1) reserved.push_back(e.reserve_seq());
   };
 
-  // Seed both models with 10k random schedules.
+  // Seed both models with 10k random schedules; every seventh seed is
+  // preceded by a reserved seq.
   for (int i = 0; i < kSeeds; ++i) {
+    if (i % 7 == 3) {
+      reserved.push_back(e.reserve_seq());
+      ref_reserved.push_back(ref.reserve());
+    }
     const Time when = random_delay();
     const std::uint64_t id = next_id++;
     e.schedule_at(when, [&on_fire, id] { on_fire(id); });
@@ -109,15 +132,18 @@ TEST(EngineProperty, MatchesReferenceHeapOrder) {
   }
 
   // Replay the reference: same initial events, same fanout stream, same
-  // spawn cap.
+  // spawn cap, same reservations.
   Rng ref_fanout(0xfa11);
   std::uint64_t ref_scheduled = kSeeds;
+  std::vector<std::pair<Time, std::uint64_t>> children;
   while (!ref.empty()) {
     const Time now = ref.top_when();
+    ref_keys.emplace_back(now, ref.top_seq());
     const std::uint64_t id = ref.pop();
     ref_order.push_back(id);
     if (ref_scheduled >= kMaxEvents) continue;
     const std::uint64_t n = ref_fanout.uniform(0, 2);
+    children.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
       Time d = 0;
       switch (ref_fanout.uniform(0, 2)) {
@@ -125,9 +151,13 @@ TEST(EngineProperty, MatchesReferenceHeapOrder) {
         case 1: d = ref_fanout.uniform(0, 10'000); break;
         default: d = ref_fanout.uniform(0, 10'000'000); break;
       }
-      ref.push(now + d, 0);  // id patched below
+      children.emplace_back(now + d, 0);  // id patched below
       ++ref_scheduled;
     }
+    const std::uint64_t where = ref_fanout.uniform(0, 5);
+    if (where == 0) ref_reserved.push_back(ref.reserve());
+    for (const auto& [when, cid] : children) ref.push(when, cid);
+    if (where == 1) ref_reserved.push_back(ref.reserve());
   }
 
   // The reference cannot know the engine's child ids up front (they are
@@ -140,6 +170,23 @@ TEST(EngineProperty, MatchesReferenceHeapOrder) {
   for (std::size_t i = 0; i < ref_order.size(); ++i)
     if (ref_order[i] != 0 && engine_order[i] != ref_order[i]) ++mismatches;
   EXPECT_EQ(mismatches, 0u);
+
+  // Reserved seqs shift every later seq exactly as scheduled events do:
+  // each dispatch carries the reference's (when, seq), current_seq()
+  // included, and the reservations hand out the reference's numbers.
+  EXPECT_GT(reserved.size(), 100'000u);
+  EXPECT_EQ(reserved, ref_reserved);
+  EXPECT_TRUE(engine_keys == ref_keys) << "dispatch keys diverge";
+  // A reserved seq is never dispatched.
+  std::vector<std::uint64_t> dispatched;
+  dispatched.reserve(engine_keys.size());
+  for (const auto& [when, seq] : engine_keys) dispatched.push_back(seq);
+  std::sort(dispatched.begin(), dispatched.end());
+  for (const std::uint64_t r : reserved)
+    EXPECT_FALSE(std::binary_search(dispatched.begin(), dispatched.end(), r));
+  // Between run_until() calls the dispatch point is past every seq handed
+  // out so far.
+  EXPECT_EQ(e.current_seq(), e.reserve_seq());
 }
 
 /// Same-run bit-determinism: two engines fed the same schedule dispatch
