@@ -343,8 +343,6 @@ class MdsNode {
     std::uint64_t stale = 0;
     Time min_age = 0;
     Time max_age = 0;
-
-    bool operator==(const HbSummary&) const = default;
   };
   const HbSummary& hb_summary() {
     settle_inbox();
