@@ -95,7 +95,9 @@ void InvariantChecker::check_cover(Time now) {
   }
 
   // Walk every directory reachable from the root. Orphaned directories
-  // (present in the namespace but unreachable) are lost metadata.
+  // (present in the namespace but unreachable) are lost metadata. The walk
+  // follows the per-frag directory indexes, so a directory an index lost
+  // shows up here too.
   const auto dirs = ns.subtree_dirs(ns.root());
   ++checks_;
   if (dirs.size() != ns.num_dirs())

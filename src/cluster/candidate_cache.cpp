@@ -38,7 +38,7 @@ void CandidateCache::list_children(const DirFragId& id, Entry& e) {
     e.missing = true;
     return;
   }
-  for (const auto& [name, ino] : f->dentries) {
+  for (const auto& [name, ino] : f->subdirs) {
     const mantle::mds::Dir* child = cluster_.ns().dir(ino);
     if (child == nullptr) continue;
     for (const auto& [cf, cdf] : child->frags)

@@ -64,6 +64,31 @@ MetaOp op_to_meta(OpType op) {
   return MetaOp::IRD;
 }
 
+/// The one walk over an authority region: depth first from `stack`,
+/// skipping frags owned by anyone but `owner` (foreign bounds; kNoRank
+/// bounds nothing), descending through each visited frag's directory
+/// index and never its file dentries. The index iterates in dentry-name
+/// order and a child directory's frags go on the stack in frag order, so
+/// a region's frags are visited in the order a scan of every dentry
+/// visits them, and a sum over the walk equals that scan's bit for bit.
+template <typename NS, typename Visit>
+void walk_region(NS& ns, std::vector<DirFragId> stack, MdsRank owner,
+                 Visit&& visit) {
+  while (!stack.empty()) {
+    const DirFragId cur = stack.back();
+    stack.pop_back();
+    auto* f = ns.frag(cur);
+    if (f == nullptr) continue;
+    if (owner != kNoRank && f->auth != owner) continue;
+    visit(cur, *f);
+    for (const auto& [name, ino] : f->subdirs) {
+      const mantle::mds::Dir* child = ns.dir(ino);
+      if (child == nullptr) continue;
+      for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
+    }
+  }
+}
+
 }  // namespace
 
 // ===========================================================================
@@ -899,45 +924,22 @@ PopSnapshot MdsCluster::subtree_pop(const DirFragId& root, MdsRank rank,
                                     Time now) const {
   PopSnapshot out;
   const auto& rate = ns_.decay_rate();
-  // Depth-first over the frag-scoped subtree, stopping at foreign bounds.
-  std::vector<DirFragId> stack{root};
-  while (!stack.empty()) {
-    const DirFragId cur = stack.back();
-    stack.pop_back();
-    const DirFrag* f = ns_.frag(cur);
-    if (f == nullptr) continue;
-    if (rank != kNoRank && f->auth != rank) continue;  // foreign bound
-    out.ird += f->pop.get(MetaOp::IRD, now, rate);
-    out.iwr += f->pop.get(MetaOp::IWR, now, rate);
-    out.readdir += f->pop.get(MetaOp::READDIR, now, rate);
-    out.fetch += f->pop.get(MetaOp::FETCH, now, rate);
-    out.store += f->pop.get(MetaOp::STORE, now, rate);
-    for (const auto& [name, ino] : f->dentries) {
-      const mantle::mds::Dir* child = ns_.dir(ino);
-      if (child == nullptr) continue;
-      for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
-    }
-  }
+  walk_region(ns_, {root}, rank, [&](const DirFragId&, const DirFrag& f) {
+    out.ird += f.pop.get(MetaOp::IRD, now, rate);
+    out.iwr += f.pop.get(MetaOp::IWR, now, rate);
+    out.readdir += f.pop.get(MetaOp::READDIR, now, rate);
+    out.fetch += f.pop.get(MetaOp::FETCH, now, rate);
+    out.store += f.pop.get(MetaOp::STORE, now, rate);
+  });
   return out;
 }
 
 std::size_t MdsCluster::subtree_entry_count(const DirFragId& root,
                                             MdsRank rank) const {
   std::size_t out = 0;
-  std::vector<DirFragId> stack{root};
-  while (!stack.empty()) {
-    const DirFragId cur = stack.back();
-    stack.pop_back();
-    const DirFrag* f = ns_.frag(cur);
-    if (f == nullptr) continue;
-    if (rank != kNoRank && f->auth != rank) continue;
-    out += f->dentries.size();
-    for (const auto& [name, ino] : f->dentries) {
-      const mantle::mds::Dir* child = ns_.dir(ino);
-      if (child == nullptr) continue;
-      for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
-    }
-  }
+  walk_region(ns_, {root}, rank, [&](const DirFragId&, const DirFrag& f) {
+    out += f.dentries.size();
+  });
   return out;
 }
 
@@ -1038,26 +1040,13 @@ void MdsCluster::finish_migration(std::size_t idx) {
   // keep their entries and their annotations; ancestry alone must not
   // absorb them, since the migration never touched them.
   std::vector<DirFragId> absorbed;
-  DirFrag* rootf = ns_.frag(mig.rec.frag);
-  if (rootf != nullptr) {
-    std::vector<DirFragId> stack{mig.rec.frag};
-    while (!stack.empty()) {
-      const DirFragId cur = stack.back();
-      stack.pop_back();
-      DirFrag* f = ns_.frag(cur);
-      if (f == nullptr || f->auth != from) continue;
-      f->auth = to;
-      if (cur != mig.rec.frag && subtree_roots_.count(cur) != 0)
-        absorbed.push_back(cur);
-      // The importer has to fetch the dirfrag object from RADOS.
-      ns_.record_op(cur, MetaOp::FETCH, now);
-      for (const auto& [name, ino] : f->dentries) {
-        mantle::mds::Dir* child = ns_.dir(ino);
-        if (child == nullptr) continue;
-        for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
-      }
-    }
-  }
+  walk_region(ns_, {mig.rec.frag}, from, [&](const DirFragId& cur, DirFrag& f) {
+    f.auth = to;
+    if (cur != mig.rec.frag && subtree_roots_.count(cur) != 0)
+      absorbed.push_back(cur);
+    // The importer has to fetch the dirfrag object from RADOS.
+    ns_.record_op(cur, MetaOp::FETCH, now);
+  });
 
   // Update the subtree map: the exported frag becomes a bound owned by the
   // importer, absorbing exactly the inner roots the flip traversed.
@@ -1373,21 +1362,11 @@ bool MdsCluster::crash_mds(MdsRank rank) {
 void MdsCluster::adopt_subtrees(MdsRank from, MdsRank to) {
   const Time now = engine_.now();
   for (const DirFragId& root : roots_of(from)) {
-    std::vector<DirFragId> stack{root};
-    while (!stack.empty()) {
-      const DirFragId cur = stack.back();
-      stack.pop_back();
-      DirFrag* f = ns_.frag(cur);
-      if (f == nullptr || f->auth != from) continue;  // foreign bound
-      f->auth = to;
+    walk_region(ns_, {root}, from, [&](const DirFragId& cur, DirFrag& f) {
+      f.auth = to;
       // The adopter fetches the dirfrag objects from the object store.
       ns_.record_op(cur, MetaOp::FETCH, now);
-      for (const auto& [name, ino] : f->dentries) {
-        mantle::mds::Dir* child = ns_.dir(ino);
-        if (child == nullptr) continue;
-        for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
-      }
-    }
+    });
     subtree_roots_[root] = to;
   }
 }
@@ -1473,47 +1452,28 @@ void MdsCluster::flush_dirty(MdsRank rank) {
   // (feeding the `store` term of the metaload) and an omap write.
   const Time now = engine_.now();
   for (const DirFragId& root : roots_of(rank)) {
-    std::vector<DirFragId> stack{root};
-    while (!stack.empty()) {
-      const DirFragId cur = stack.back();
-      stack.pop_back();
-      DirFrag* f = ns_.frag(cur);
-      if (f == nullptr || f->auth != rank) continue;
-      if (f->dirty) {
-        f->dirty = false;
-        store_.omap_set("dir." + cur.str(), "version",
-                        std::to_string(now / kMsec));
-        ns_.record_op(cur, MetaOp::STORE, now);
-      }
-      for (const auto& [name, ino] : f->dentries) {
-        mantle::mds::Dir* child = ns_.dir(ino);
-        if (child == nullptr) continue;
-        for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
-      }
-    }
+    walk_region(ns_, {root}, rank, [&](const DirFragId& cur, DirFrag& f) {
+      if (!f.dirty) return;
+      f.dirty = false;
+      store_.omap_set("dir." + cur.str(), "version",
+                      std::to_string(now / kMsec));
+      ns_.record_op(cur, MetaOp::STORE, now);
+    });
   }
 }
 
 void MdsCluster::reparent_subtree(InodeId dir, MdsRank from, MdsRank to) {
-  mantle::mds::Dir* d = ns_.dir(dir);
+  const mantle::mds::Dir* d = ns_.dir(dir);
   if (d == nullptr || from == to) return;
-  std::vector<DirFragId> stack;
-  for (const auto& [f, df] : d->frags) stack.push_back({dir, f});
-  while (!stack.empty()) {
-    const DirFragId cur = stack.back();
-    stack.pop_back();
-    DirFrag* f = ns_.frag(cur);
-    if (f == nullptr || f->auth != from) continue;  // keep foreign bounds
-    f->auth = to;
+  std::vector<DirFragId> frags;
+  for (const auto& [f, df] : d->frags) frags.push_back({dir, f});
+  auto hand_over = [&](const DirFragId& cur, DirFrag& f) {
+    f.auth = to;
     const auto rit = subtree_roots_.find(cur);
     if (rit != subtree_roots_.end() && rit->second == from)
       rit->second = to;
-    for (const auto& [name, ino] : f->dentries) {
-      mantle::mds::Dir* child = ns_.dir(ino);
-      if (child == nullptr) continue;
-      for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
-    }
-  }
+  };
+  walk_region(ns_, std::move(frags), from, hand_over);
 }
 
 std::size_t MdsCluster::flush_client_sessions(MdsRank a, MdsRank b) {

@@ -73,8 +73,8 @@ InodeId Namespace::mkdir(InodeId parent, const std::string& name, Time now) {
   dirs_[ino] = std::move(d);
 
   f.dentries[name] = ino;
+  f.subdirs[name] = ino;
   f.dirty = true;
-  children_dirs_[parent].push_back(ino);
   return ino;
 }
 
@@ -110,10 +110,7 @@ bool Namespace::remove(InodeId parent, const std::string& name) {
     const Dir& d = dirs_.at(ino);
     if (d.num_entries() != 0) return false;  // only empty dirs are removable
     dirs_.erase(ino);
-    auto& siblings = children_dirs_[parent];
-    siblings.erase(std::remove(siblings.begin(), siblings.end(), ino),
-                   siblings.end());
-    children_dirs_.erase(ino);
+    f.subdirs.erase(name);
   }
   inodes_.erase(ino);
   f.dentries.erase(it);
@@ -146,16 +143,14 @@ bool Namespace::rename(InodeId src_dir, const std::string& src_name,
     }
   }
 
+  if (node.is_dir) {
+    sf.subdirs.erase(src_name);
+    df.subdirs[dst_name] = moving;
+  }
   sf.dentries.erase(it);
   sf.dirty = true;
   df.dentries[dst_name] = moving;
   df.dirty = true;
-  if (node.is_dir && src_dir != dst_dir) {
-    auto& old_sibs = children_dirs_[src_dir];
-    old_sibs.erase(std::remove(old_sibs.begin(), old_sibs.end(), moving),
-                   old_sibs.end());
-    children_dirs_[dst_dir].push_back(moving);
-  }
   node.parent = dst_dir;
   node.name = dst_name;
   return true;
@@ -314,15 +309,21 @@ std::vector<frag_t> Namespace::split(const DirFragId& id, std::uint8_t bits,
     kids.push_back(&kit->second);
     out.push_back(cf);
   }
-  for (auto& [name, ino] : parent.dentries) {
-    const std::uint32_t h = hash_dentry_name(name);
-    for (DirFrag* k : kids) {
-      if (k->frag.contains(h)) {
-        k->dentries.emplace(name, ino);
-        break;
+  // Every dentry, and its directory-index entry, goes to the child
+  // covering its hash.
+  auto deal = [&](auto DirFrag::*names) {
+    for (const auto& [name, ino] : parent.*names) {
+      const std::uint32_t h = hash_dentry_name(name);
+      for (DirFrag* k : kids) {
+        if (k->frag.contains(h)) {
+          (k->*names).emplace(name, ino);
+          break;
+        }
       }
     }
-  }
+  };
+  deal(&DirFrag::dentries);
+  deal(&DirFrag::subdirs);
   return out;
 }
 
@@ -338,6 +339,7 @@ bool Namespace::merge(InodeId dirino, frag_t parent_frag, Time now) {
       any = true;
       DirFrag& child = it->second;
       merged.dentries.insert(child.dentries.begin(), child.dentries.end());
+      merged.subdirs.insert(child.subdirs.begin(), child.subdirs.end());
       child.pop.sync(now, rate_);
       merged.pop.sync(now, rate_);
       merged.pop.merge(child.pop);
@@ -359,11 +361,11 @@ std::vector<InodeId> Namespace::subtree_dirs(InodeId dirino) const {
   while (!stack.empty()) {
     const InodeId cur = stack.back();
     stack.pop_back();
-    if (dirs_.count(cur) == 0) continue;
+    const Dir* d = dir(cur);
+    if (d == nullptr) continue;
     out.push_back(cur);
-    const auto it = children_dirs_.find(cur);
-    if (it != children_dirs_.end())
-      for (const InodeId child : it->second) stack.push_back(child);
+    for (const auto& [f, df] : d->frags)
+      for (const auto& [name, child] : df.subdirs) stack.push_back(child);
   }
   return out;
 }

@@ -34,6 +34,9 @@ struct Inode {
 struct DirFrag {
   frag_t frag;
   std::map<std::string, InodeId> dentries;  // names whose hash lands here
+  /// The directory entries of `dentries` alone, in the same name order:
+  /// walks over the directory tree read this and never touch files.
+  std::map<std::string, InodeId> subdirs;
   PopVector pop;                            // ops directly on this fragment
   MdsRank auth = kNoRank;                   // maintained by the cluster layer
   bool dirty = false;                       // needs a STORE before eviction
@@ -151,7 +154,8 @@ class Namespace {
   std::size_t num_dirs() const { return dirs_.size(); }
 
   /// Inodes of every directory in the subtree rooted at `dir` (inclusive),
-  /// preorder. Used by migration size accounting and the heat map harness.
+  /// preorder over the per-frag directory indexes. Used by migration size
+  /// accounting, the invariant checker and the heat map harness.
   std::vector<InodeId> subtree_dirs(InodeId dir) const;
 
   /// Total dentries in the subtree rooted at `dir`.
@@ -164,7 +168,6 @@ class Namespace {
   InodeId next_ino_ = kRootInode + 1;
   std::unordered_map<InodeId, Inode> inodes_;
   std::unordered_map<InodeId, Dir> dirs_;
-  std::unordered_map<InodeId, std::vector<InodeId>> children_dirs_;
 };
 
 /// Split an absolute path into components; leading/trailing/duplicate

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
+#include <set>
 
 #include "balancers/builtin.hpp"
 #include "cluster/candidate_cache.hpp"
@@ -10,13 +12,15 @@
 
 /// Tests for the namespace-partitioning mechanism: export-candidate
 /// gathering with drill-down ("subtrees are divided and migrated only if
-/// their ancestors are too popular to migrate", §3.2).
+/// their ancestors are too popular to migrate", §3.2), and the namespace
+/// walks behind it against the full dentry scan they replaced.
 
 namespace mantle::cluster {
 namespace {
 
 using mantle::mds::frag_t;
 using mantle::mds::InodeId;
+using mantle::mds::kNoInode;
 using mantle::mds::kNoRank;
 using mantle::mds::MetaOp;
 
@@ -302,9 +306,11 @@ const T& pick(Rng& rng, const std::vector<T>& v) {
   return v[rng.uniform(0, v.size() - 1)];
 }
 
-/// A seeded random cluster: nested directories and files, heat on every
-/// MetaOp, split fragments, foreign bounds from committed exports and a
-/// nested island root. Two worlds built from one seed are identical.
+/// A seeded random cluster: nested directories and files, files and
+/// subdirectories interleaved by name in one directory, heat on every
+/// MetaOp, split fragments, foreign bounds from committed exports, a
+/// nested island root and a directory renamed across an authority bound.
+/// Two worlds built from one seed are identical.
 struct World {
   sim::Engine engine;
   MdsCluster cluster;
@@ -331,6 +337,62 @@ struct World {
     }
   }
 
+  /// A directory rename whose source and destination dentries have
+  /// different authorities.
+  struct CrossRename {
+    InodeId moving = kNoInode;
+    InodeId src_dir = kNoInode;
+    std::string src_name;
+    InodeId dst_dir = kNoInode;
+    std::string dst_name;
+    MdsRank from = kNoRank;  // serves the rename
+    MdsRank to = kNoRank;    // owns the destination dentry
+  };
+
+  /// Draw a directory whose first frag its source's authority owns, and a
+  /// destination outside it where a fresh name lands on another rank.
+  /// `moving` stays kNoInode when no such pair turns up.
+  CrossRename plan_cross_rename(Rng& rng) {
+    const auto& ns = cluster.ns();
+    for (int attempt = 0; attempt < 40; ++attempt) {
+      const InodeId moving = pick(rng, all_frags(cluster)).ino;
+      const InodeId dst = pick(rng, all_frags(cluster)).ino;
+      if (moving == ns.root() ||
+          cluster.frag_contains({moving, frag_t()}, {dst, frag_t()}))
+        continue;
+      CrossRename r;
+      r.moving = moving;
+      r.src_dir = ns.inode(moving)->parent;
+      r.src_name = ns.inode(moving)->name;
+      r.dst_dir = dst;
+      r.dst_name = "r" + std::to_string(renames_++);
+      r.from = cluster.auth_of(ns.frag_of(r.src_dir, r.src_name));
+      r.to = cluster.auth_of(ns.frag_of(dst, r.dst_name));
+      if (r.from == r.to ||
+          cluster.auth_of({moving, ns.dir(moving)->frags.begin()->first}) !=
+              r.from)
+        continue;
+      return r;
+    }
+    return {};
+  }
+
+  /// Serve the rename through the request path: the source's authority
+  /// renames and hands the moved subtree over (reparent_subtree).
+  void rename(const CrossRename& r) {
+    Request req;
+    req.id = renames_;
+    req.client = 0;
+    req.op = OpType::Rename;
+    req.dir = r.src_dir;
+    req.name = r.src_name;
+    req.dst_dir = r.dst_dir;
+    req.dst_name = r.dst_name;
+    req.issued_at = engine.now();
+    cluster.client_submit(std::move(req), r.from);
+    engine.run();
+  }
+
   void build(Rng& rng) {
     auto& ns = cluster.ns();
     std::vector<InodeId> dirs{ns.root()};
@@ -338,6 +400,16 @@ struct World {
     for (std::uint64_t i = 0; i < ndirs; ++i)
       dirs.push_back(
           ns.mkdir(pick(rng, dirs), "d" + std::to_string(i), engine.now()));
+    // Files and subdirectories interleaved by name in one directory.
+    const InodeId mixed = pick(rng, dirs);
+    const auto nmixed = rng.uniform(4, 12);
+    for (std::uint64_t i = 0; i < nmixed; ++i) {
+      const std::string name = "m" + std::to_string(i);
+      if (rng.next_double() < 0.5)
+        dirs.push_back(ns.mkdir(mixed, name, engine.now()));
+      else
+        ns.create(mixed, name, engine.now());
+    }
     const auto nfiles = rng.uniform(10, 80);
     for (std::uint64_t i = 0; i < nfiles; ++i)
       ns.create(pick(rng, dirs), "f" + std::to_string(i), engine.now());
@@ -372,9 +444,14 @@ struct World {
       cluster.export_subtree(pick(rng, all_frags(cluster)), to);
       engine.run();
     }
+    const CrossRename r = plan_cross_rename(rng);
+    if (r.moving != kNoInode) rename(r);
     heat(rng);
     advance_to(engine.now() + rng.uniform(1, 3000) * kMsec);
   }
+
+ private:
+  std::uint64_t renames_ = 0;
 };
 
 ClusterConfig random_config(Rng& rng) {
@@ -643,6 +720,180 @@ TEST(CandidateCache, ExportChangesOnlyFrozenStatusUntilCommit) {
               a.cluster.migrations().back().to);
   }
   EXPECT_GE(worlds_with_exports, 15);
+}
+
+// ---------------------------------------------------------------------------
+// Namespace walks against the dentry scan they replaced
+// ---------------------------------------------------------------------------
+
+/// Reference oracle: the region walk as every namespace walk ran before
+/// the per-frag directory index. It looks up every dentry of a visited
+/// frag as a possible child directory, and returns the frags it visits in
+/// visiting order.
+std::vector<DirFragId> scan_region(const MdsCluster& c,
+                                   std::vector<DirFragId> stack,
+                                   MdsRank owner) {
+  std::vector<DirFragId> out;
+  while (!stack.empty()) {
+    const DirFragId cur = stack.back();
+    stack.pop_back();
+    const mantle::mds::DirFrag* f = c.ns().frag(cur);
+    if (f == nullptr) continue;
+    if (owner != kNoRank && f->auth != owner) continue;
+    out.push_back(cur);
+    for (const auto& [name, ino] : f->dentries) {
+      const mantle::mds::Dir* child = c.ns().dir(ino);
+      if (child == nullptr) continue;
+      for (const auto& [cf, cdf] : child->frags) stack.push_back({ino, cf});
+    }
+  }
+  return out;
+}
+
+PopSnapshot scan_pop(const MdsCluster& c, const DirFragId& root,
+                     MdsRank rank, Time now) {
+  PopSnapshot out;
+  const auto& rate = c.ns().decay_rate();
+  for (const DirFragId& id : scan_region(c, {root}, rank)) {
+    const mantle::mds::PopVector& pop = c.ns().frag(id)->pop;
+    out.ird += pop.get(MetaOp::IRD, now, rate);
+    out.iwr += pop.get(MetaOp::IWR, now, rate);
+    out.readdir += pop.get(MetaOp::READDIR, now, rate);
+    out.fetch += pop.get(MetaOp::FETCH, now, rate);
+    out.store += pop.get(MetaOp::STORE, now, rate);
+  }
+  return out;
+}
+
+std::size_t scan_entry_count(const MdsCluster& c, const DirFragId& root,
+                             MdsRank rank) {
+  std::size_t n = 0;
+  for (const DirFragId& id : scan_region(c, {root}, rank))
+    n += c.ns().frag(id)->dentries.size();
+  return n;
+}
+
+std::vector<std::size_t> scan_auth_entry_counts(const MdsCluster& c) {
+  std::vector<std::size_t> out(static_cast<std::size_t>(c.num_mds()), 0);
+  for (const auto& [frag, rank] : c.subtree_roots())
+    out[static_cast<std::size_t>(rank)] += scan_entry_count(c, frag, rank);
+  return out;
+}
+
+/// Every walk read-out at `now` equals the oracle's: subtree pops bit for
+/// bit in every field, entry counts exactly, for every frag under every
+/// rank filter.
+void expect_walks_match_scan(const MdsCluster& c, Time now) {
+  for (const DirFragId& f : all_frags(c)) {
+    for (MdsRank r = kNoRank; r < c.num_mds(); ++r) {
+      SCOPED_TRACE(f.str() + " rank " + std::to_string(r));
+      expect_same_calls({scan_pop(c, f, r, now)}, {c.subtree_pop(f, r, now)});
+      EXPECT_EQ(c.subtree_entry_count(f, r), scan_entry_count(c, f, r));
+    }
+  }
+  const std::vector<std::size_t> counts = scan_auth_entry_counts(c);
+  EXPECT_EQ(c.auth_entry_counts(), counts);
+  for (MdsRank r = 0; r < c.num_mds(); ++r)
+    EXPECT_EQ(c.auth_entry_count(r), counts[static_cast<std::size_t>(r)]);
+}
+
+std::map<DirFragId, MdsRank> auth_map(const MdsCluster& c) {
+  std::map<DirFragId, MdsRank> out;
+  for (const DirFragId& f : all_frags(c)) out[f] = c.ns().frag(f)->auth;
+  return out;
+}
+
+std::set<DirFragId> dirty_frags(const MdsCluster& c) {
+  std::set<DirFragId> out;
+  for (const DirFragId& f : all_frags(c))
+    if (c.ns().frag(f)->dirty) out.insert(f);
+  return out;
+}
+
+/// `after` is `before` with exactly the frags of `region` handed to `to`.
+void expect_handed_over(std::map<DirFragId, MdsRank> before,
+                        const std::map<DirFragId, MdsRank>& after,
+                        const std::vector<DirFragId>& region, MdsRank to) {
+  for (const DirFragId& f : region) before[f] = to;
+  EXPECT_EQ(after, before);
+}
+
+// subtree_pop, subtree_entry_count, auth_entry_count and
+// auth_entry_counts equal the dentry scan exactly, before and after the
+// four walks that move authority or write back. Each of those touches
+// exactly the oracle's region: a cross-authority directory rename
+// (reparent_subtree), an export commit (finish_migration), a write-back
+// on every rank (flush_dirty) and a crash takeover (adopt_subtrees).
+TEST(NamespaceWalk, MatchesDentryScanOnRandomWorlds) {
+  int reparented = 0;
+  int committed = 0;
+  std::size_t flushed = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng cfg_rng(seed);
+    World w(random_config(cfg_rng));
+    MdsCluster& c = w.cluster;
+    Rng rng(seed * 104729);
+    w.build(rng);
+    expect_walks_match_scan(c, w.engine.now());
+
+    const World::CrossRename r = w.plan_cross_rename(rng);
+    if (r.moving != kNoInode) {
+      std::vector<DirFragId> frags;
+      for (const auto& [f, df] : c.ns().dir(r.moving)->frags)
+        frags.push_back({r.moving, f});
+      const auto region = scan_region(c, frags, r.from);
+      const auto before = auth_map(c);
+      w.rename(r);
+      ASSERT_EQ(c.ns().inode(r.moving)->parent, r.dst_dir);
+      expect_handed_over(before, auth_map(c), region, r.to);
+      reparented += region.empty() ? 0 : 1;
+    }
+
+    const DirFragId frag = pick(rng, all_frags(c));
+    const MdsRank from = c.auth_of(frag);
+    const auto to = static_cast<MdsRank>(
+        (static_cast<std::uint64_t>(from) + 1 +
+         rng.uniform(0, static_cast<std::uint64_t>(c.num_mds() - 2))) %
+        static_cast<std::uint64_t>(c.num_mds()));
+    const auto exported = scan_region(c, {frag}, from);
+    auto before = auth_map(c);
+    if (c.export_subtree(frag, to)) {
+      w.engine.run();
+      expect_handed_over(before, auth_map(c), exported, to);
+      ++committed;
+    }
+
+    for (MdsRank rank = 0; rank < c.num_mds(); ++rank) {
+      std::set<DirFragId> want = dirty_frags(c);
+      for (const DirFragId& root : c.roots_of(rank))
+        for (const DirFragId& f : scan_region(c, {root}, rank))
+          flushed += want.erase(f);
+      c.flush_dirty(rank);
+      EXPECT_EQ(dirty_frags(c), want) << "rank " << rank;
+    }
+
+    std::vector<MdsRank> owners;
+    for (MdsRank rank = 0; rank < c.num_mds(); ++rank)
+      if (!c.roots_of(rank).empty()) owners.push_back(rank);
+    const MdsRank dead = pick(rng, owners);
+    std::vector<DirFragId> lost;
+    for (const DirFragId& root : c.roots_of(dead))
+      for (const DirFragId& f : scan_region(c, {root}, dead)) lost.push_back(f);
+    before = auth_map(c);
+    ASSERT_TRUE(c.crash_mds(dead));
+    w.engine.run();
+    const RecoveryEvent& took = c.recovery_log().back();
+    ASSERT_EQ(took.kind, RecoveryEvent::Kind::TakeoverComplete);
+    expect_handed_over(before, auth_map(c), lost, took.peer);
+
+    w.advance_to(w.engine.now() + rng.uniform(1, 3000) * kMsec);
+    w.heat(rng);
+    expect_walks_match_scan(c, w.engine.now());
+  }
+  EXPECT_GE(reparented, 30);
+  EXPECT_GE(committed, 35);
+  EXPECT_GT(flushed, 500u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "balancers/builtin.hpp"
 #include "fault/fault.hpp"
 #include "sim/scenario.hpp"
+#include "workloads/compile.hpp"
 #include "workloads/create_heavy.hpp"
 
 /// Pins the balancer's decisions under heartbeat faults to fixed digests.
@@ -18,6 +19,14 @@
 /// heartbeat delivery was still an engine event, and a change to how
 /// heartbeats travel must reproduce them bit for bit, with the stale guard
 /// on and off.
+///
+/// Those two runs keep one flat directory, where the order in which a
+/// namespace walk visits frags cannot change a sum. A third pin runs
+/// compile-shaped trees under a crash with takeover, so that subtree pops,
+/// exports, the takeover's adoption and the periodic write-back all walk
+/// nested regions whose visiting order fixes every floating-point sum. Its
+/// digest was taken while those walks still scanned every dentry for child
+/// directories.
 
 namespace mantle::fault {
 namespace {
@@ -79,6 +88,60 @@ Pinned run_pinned(bool stale_guard) {
   return p;
 }
 
+/// Six compile jobs on 4 ranks under the builtin Adaptable balancer. Each
+/// job's tree sits below a directory that also holds files on both sides
+/// of its subdirectory's name, and /tree holds a file after each job's
+/// directory, so files and subdirectories interleave by name. Rank 1 dies
+/// at 3 s holding imported subtrees, and rank 0 adopts them before rank 1
+/// restarts at 7 s.
+struct CompilePinned {
+  std::uint64_t provenance_digest = 0;
+  std::size_t exports_committed = 0;
+  std::size_t takeovers = 0;
+  std::size_t nested_dirs = 0;
+};
+
+CompilePinned run_compile_pinned() {
+  sim::ScenarioConfig cfg;
+  cfg.cluster.num_mds = 4;
+  cfg.cluster.seed = 2015;
+  cfg.cluster.bal_interval = kSec;
+  cfg.retry.timeout = kSec;
+  sim::Scenario s(cfg);
+  s.cluster().set_balancer_all(
+      [](int) { return std::make_unique<balancers::AdaptableBalancer>(); });
+  mds::Namespace& ns = s.cluster().ns();
+  const mds::InodeId tree = ns.mkdir(ns.root(), "tree", 0);
+  for (int c = 0; c < 6; ++c) {
+    const std::string job = "c" + std::to_string(c);
+    const mds::InodeId home = ns.mkdir(tree, job, 0);
+    ns.create(tree, job + ".log", 0);
+    for (const char* f : {"Makefile", "kconfig", "tags"}) ns.create(home, f, 0);
+    workloads::CompileOptions o;
+    o.root = "/tree/" + job + "/src";
+    o.files_per_dir = 12;
+    o.compile_ops = 3000;
+    o.read_ops = 400;
+    o.link_rounds = 2;
+    s.add_client(std::make_unique<workloads::CompileWorkload>(o));
+  }
+  FaultPlan plan;
+  plan.crashes.push_back({3 * kSec, 1});
+  plan.restarts.push_back({7 * kSec, 1});
+  plan.seed = 2015 ^ 0xfa175eedULL;
+  FaultInjector faults(plan);
+  faults.arm(s.cluster());
+  s.run();
+
+  CompilePinned p;
+  p.provenance_digest = fnv1a(s.cluster().provenance().to_json());
+  p.exports_committed = s.cluster().migrations().size();
+  for (const cluster::RecoveryEvent& e : s.cluster().recovery_log())
+    p.takeovers += e.kind == cluster::RecoveryEvent::Kind::TakeoverComplete;
+  p.nested_dirs = ns.num_dirs();
+  return p;
+}
+
 TEST(DecisionPin, HeartbeatFaultsWithStaleGuard) {
   const Pinned p = run_pinned(true);
   EXPECT_GT(p.makespan, 12 * kSec);  // the restart lands mid-run
@@ -96,6 +159,14 @@ TEST(DecisionPin, HeartbeatFaultsWithoutStaleGuard) {
   EXPECT_EQ(p.counters.crashes, 1u);
   EXPECT_EQ(p.stale_rejected, 0u);
   EXPECT_EQ(p.provenance_digest, 0x0acd4d60d6cff654ull);
+}
+
+TEST(DecisionPin, NestedCompileTreesWithTakeover) {
+  const CompilePinned p = run_compile_pinned();
+  EXPECT_GT(p.exports_committed, 0u);
+  EXPECT_EQ(p.takeovers, 1u);
+  EXPECT_EQ(p.nested_dirs, 2 + 6 * (2 + workloads::compile_tree_spec().size()));
+  EXPECT_EQ(p.provenance_digest, 0xd53d507196d91212ull);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "mds/namespace.hpp"
@@ -11,6 +13,8 @@
 /// a trivial reference model (path-keyed map), then verify they agree and
 /// that structural invariants hold. This is the property suite that
 /// protects the migration/fragmentation mechanisms from aliasing bugs.
+/// After every step it also holds each frag's directory index to the
+/// frag's own dentries, which every namespace walk trusts.
 
 namespace mantle::mds {
 namespace {
@@ -138,6 +142,29 @@ class FuzzModel {
     return {parent, p.substr(pos + 1)};
   }
 
+  /// Every frag of every reference directory indexes exactly its directory
+  /// dentries, in dentry order: no file, no stale name, none missing.
+  /// Directories are reached through the reference paths, not through
+  /// the index under test.
+  void verify_index() const {
+    using Entries = std::vector<std::pair<std::string, InodeId>>;
+    for (const auto& [path, entry] : ref_) {
+      if (!entry.is_dir) continue;
+      const Dir* d = ns_.dir(ns_.resolve(path).ino);
+      ASSERT_NE(d, nullptr) << path;
+      for (const auto& [f, df] : d->frags) {
+        Entries want;
+        for (const auto& [name, ino] : df.dentries) {
+          const Inode* node = ns_.inode(ino);
+          ASSERT_NE(node, nullptr) << path << "/" << name;
+          if (node->is_dir) want.emplace_back(name, ino);
+        }
+        ASSERT_EQ(Entries(df.subdirs.begin(), df.subdirs.end()), want)
+            << path << " frag " << f.str();
+      }
+    }
+  }
+
   /// Full cross-check of the namespace against the reference model.
   void verify() const {
     // 1. Every reference path resolves, with the right type and path_of.
@@ -172,6 +199,13 @@ class FuzzModel {
           EXPECT_TRUE(f.contains(hash_dentry_name(name)))
               << path << "/" << name << " in wrong fragment";
     }
+    // 4. subtree_dirs reaches every reference directory exactly once.
+    std::set<InodeId> want_dirs;
+    for (const auto& [path, entry] : ref_)
+      if (entry.is_dir) want_dirs.insert(ns_.resolve(path).ino);
+    const auto dirs = ns_.subtree_dirs(ns_.root());
+    EXPECT_EQ(dirs.size(), want_dirs.size());
+    EXPECT_EQ(std::set<InodeId>(dirs.begin(), dirs.end()), want_dirs);
   }
 
  private:
@@ -209,6 +243,8 @@ TEST_P(NamespaceFuzz, RandomOpsKeepModelAndNamespaceInAgreement) {
     } else {
       m.merge_random(rng);
     }
+    if (::testing::Test::HasFatalFailure()) return;
+    m.verify_index();
     if (::testing::Test::HasFatalFailure()) return;
     if (step % 300 == 299) m.verify();
   }
