@@ -11,8 +11,9 @@
 #include "sim/population.hpp"
 
 /// \file fig_scale.cpp
-/// Scale sweep for the rebuilt event engine (ROADMAP item 1): 16 -> 128 ->
-/// 512 MDS ranks driven by 10k -> 100k -> 1M modeled clients. Clients
+/// Scale sweep for the rebuilt event engine (docs/PERFORMANCE.md,
+/// "scaling the simulator to 512 ranks"): 16 -> 128 -> 512 MDS ranks
+/// driven by 10k -> 100k -> 1M modeled clients. Clients
 /// scale as mean-field ClientPopulation aggregates (each simulated request
 /// stands for `weight` modeled ops), so the event count tracks the
 /// sampling rate, not the client count; a handful of object clients ride

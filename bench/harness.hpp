@@ -3,13 +3,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "balancers/builtin.hpp"
@@ -64,70 +64,16 @@ struct RunSpec {
   std::string label;            // observability dump prefix (default "run")
 };
 
-/// Short FNV-1a digest of everything that determines a dump's contents:
-/// the label, the seed and every ClusterConfig field (hashed field by
-/// field, not as raw struct memory, so padding bytes can't leak in).
-/// Used to uniquify dump filenames deterministically: the same
-/// (label, seed, config) always maps to the same name — and if two runs
-/// share all three, their dump contents are byte-identical anyway, so
-/// the overwrite is harmless.
-inline std::string obs_dump_digest(const std::string& label,
-                                   std::uint64_t seed,
-                                   const cluster::ClusterConfig& c) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  const auto byte = [&h](unsigned char b) {
-    h ^= b;
-    h *= 1099511628211ull;  // FNV prime
-  };
-  const auto u = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
-  };
-  const auto d = [&](double x) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, &x, sizeof v);
-    u(v);
-  };
-  for (const char ch : label) byte(static_cast<unsigned char>(ch));
-  u(seed);
-  u(static_cast<std::uint64_t>(c.num_mds));
-  u(c.seed);
-  u(c.net_latency), u(c.svc_create), u(c.svc_mkdir), u(c.svc_getattr);
-  u(c.svc_lookup), u(c.svc_readdir), u(c.svc_unlink), u(c.svc_forward);
-  u(c.svc_remote_prefix), u(c.svc_scatter_gather);
-  d(c.svc_jitter);
-  u(c.bal_interval), u(c.hb_delay), u(c.tick_jitter);
-  d(c.hb_jitter_frac), d(c.cpu_noise_pct), d(c.bal_min_load);
-  d(c.need_min_factor);
-  u(static_cast<std::uint64_t>(c.max_drill_depth));
-  d(c.too_big_factor);
-  u(c.split_size), u(c.split_bits), u(c.merge_size);
-  u(c.mig_base), u(c.mig_per_entry), u(c.session_flush_stall);
-  d(c.mem_capacity_entries);
-  d(c.laggy_factor);
-  u(c.replay_base), u(c.replay_per_entry);
-  u(c.takeover_on_crash ? 1 : 0);
-  u(c.hb_stale_guard ? 1 : 0);
-  u(static_cast<std::uint64_t>(c.export_retry_max));
-  u(c.export_retry_base), u(c.export_retry_cap);
-  u(static_cast<std::uint64_t>(c.export_stuck_ticks));
-  u(static_cast<std::uint64_t>(c.laggy_readmit_ticks));
-  u(c.trace_capacity);
-  u(c.provenance_capacity), u(c.provenance_max_ranks);
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%08x",
-                static_cast<unsigned>(h ^ (h >> 32)));
-  return buf;
-}
-
 /// With MANTLE_OBS_DIR set, dump the scenario's metrics snapshot
-/// (Prometheus text + JSON) and its event timeline (plain JSON +
-/// Chrome-trace/Perfetto JSON) into that directory as
-/// <label>-seed<seed>-<digest>.{prom,metrics.json,trace.json,perfetto.json}
-/// where <digest> is obs_dump_digest(). run_scenario() calls this
+/// (Prometheus text + JSON), its event timeline (plain JSON +
+/// Chrome-trace/Perfetto JSON) and its decision provenance into that
+/// directory as <label>-seed<seed>-<digest>.{prom,metrics.json,
+/// trace.json,perfetto.json,provenance.json}, where <digest> is an
+/// FNV-1a hash of those five documents. Two runs share a file set only
+/// if they wrote the same bytes, and a rerun rewrites its own files byte
+/// for byte, also under run_seeds_parallel(). run_scenario() calls this
 /// automatically; benches that drive a sim::Scenario by hand call it
-/// after run(). Both names and contents are pure functions of
-/// (label, seed, config), so a dump directory is byte-stable across
-/// reruns — including under run_seeds_parallel().
+/// after run().
 inline void dump_observability(const std::string& label, std::uint64_t seed,
                                sim::Scenario& s) {
   const char* dir = std::getenv("MANTLE_OBS_DIR");
@@ -139,21 +85,34 @@ inline void dump_observability(const std::string& label, std::uint64_t seed,
                  ec.message().c_str());
     return;
   }
-  const std::string stem =
-      std::string(dir) + "/" + (label.empty() ? "run" : label) + "-seed" +
-      std::to_string(seed) + "-" +
-      obs_dump_digest(label, seed, s.cluster().config());
   const auto write = [&](const std::string& path, const std::string& body) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << body;
   };
+  std::string stem;
   {
     obs::ScopedPhase prof(obs::ProfilePhase::TraceIo);
-    write(stem + ".prom", s.cluster().metrics().to_prometheus());
-    write(stem + ".metrics.json", s.cluster().metrics().to_json());
-    write(stem + ".trace.json", s.cluster().trace().to_json());
-    write(stem + ".perfetto.json", s.cluster().trace().to_perfetto());
-    write(stem + ".provenance.json", s.cluster().provenance().to_json());
+    const cluster::MdsCluster& c = s.cluster();
+    const std::pair<const char*, std::string> docs[] = {
+        {".prom", c.metrics().to_prometheus()},
+        {".metrics.json", c.metrics().to_json()},
+        {".trace.json", c.trace().to_json()},
+        {".perfetto.json", c.trace().to_perfetto()},
+        {".provenance.json", c.provenance().to_json()},
+    };
+    std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
+    for (const auto& [ext, body] : docs) {
+      for (const char ch : body) {
+        h ^= static_cast<unsigned char>(ch);
+        h *= 1099511628211ull;  // FNV prime
+      }
+    }
+    char digest[9];
+    std::snprintf(digest, sizeof(digest), "%08x",
+                  static_cast<unsigned>(h ^ (h >> 32)));
+    stem = std::string(dir) + "/" + (label.empty() ? "run" : label) +
+           "-seed" + std::to_string(seed) + "-" + digest;
+    for (const auto& [ext, body] : docs) write(stem + ext, body);
   }
   // Opt-in wall-clock side files. Deliberately separate from the
   // deterministic dump set above: profile numbers are real-time

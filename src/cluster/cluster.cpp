@@ -189,7 +189,6 @@ void MdsNode::on_heartbeat(const HeartbeatPayload& hb, Time arrival) {
     const HeartbeatPayload& cur = hb_[static_cast<std::size_t>(hb.rank)];
     if (hb.epoch < cluster_.crash_epoch(hb.rank) || hb.epoch < cur.epoch ||
         (hb.epoch == cur.epoch && hb.sent_at < cur.sent_at)) {
-      ++cluster_.hb_stale_rejected_;
       cluster_.om_.hb_stale_rejected.inc();
       ++hb_summary_.stale;
       return;
@@ -406,12 +405,16 @@ void MdsNode::complete(Request r, Time /*svc*/) {
   rep.finished_at = now;
 
   const mantle::mds::Dir* d = ns.dir(r.dir);
+  // The frag the name hashes to. The op below creates, removes or renames
+  // one dentry but never splits or merges a frag, so this is also the
+  // frag the op heats.
+  DirFragId target;
   if (d != nullptr) {
+    target = ns.frag_of(r.dir, r.name);
     // Tell the client which fragment this landed in, so it can keep a
     // frag-granular map of the namespace (CephFS clients learn the
     // dirfragtree from replies).
-    rep.frag = r.name.empty() ? d->frags.begin()->first
-                              : ns.frag_of(r.dir, r.name).frag;
+    rep.frag = r.name.empty() ? d->frags.begin()->first : target.frag;
   }
   if (d == nullptr) {
     rep.ok = false;
@@ -476,7 +479,6 @@ void MdsNode::complete(Request r, Time /*svc*/) {
       for (const frag_t f : frags)
         ns.record_op({r.dir, f}, MetaOp::READDIR, now);
     } else {
-      const DirFragId target = ns.frag_of(r.dir, r.name);
       ns.record_op(target, op_to_meta(r.op), now);
       if (r.op == OpType::Create || r.op == OpType::Mkdir)
         cluster_.maybe_split(target);
@@ -840,7 +842,7 @@ void MdsCluster::client_submit(Request r, MdsRank guess) {
   engine_.schedule_after(
       cfg_.net_latency, [this, guess, r = std::move(r)]() mutable {
         if (!is_up(guess)) {
-          ++requests_dropped_;  // dead host: no reply; client retry recovers
+          // Dead host: no reply; client retry recovers.
           om_.requests_dropped.inc();
           return;
         }
@@ -854,7 +856,6 @@ void MdsCluster::client_submit_batch(MdsRank guess, std::vector<Request> batch) 
   engine_.schedule_after(
       cfg_.net_latency, [this, guess, batch = std::move(batch)]() mutable {
         if (!is_up(guess)) {
-          requests_dropped_ += batch.size();
           om_.requests_dropped.inc(batch.size());
           return;
         }
@@ -867,7 +868,6 @@ void MdsCluster::route_to(MdsRank rank, Request r) {
   engine_.schedule_after(
       cfg_.net_latency, [this, rank, r = std::move(r)]() mutable {
         if (!is_up(rank)) {
-          ++requests_dropped_;
           om_.requests_dropped.inc();
           return;
         }
@@ -1322,7 +1322,7 @@ bool MdsCluster::crash_mds(MdsRank rank) {
   const std::uint64_t epoch = crash_epoch_[idx];
 
   const std::size_t lost = node(rank).reset_for_crash(now);
-  requests_dropped_ += lost;
+  om_.requests_dropped.inc(lost);
   // One recovery span per crash arc: crash, takeover/restart and replay
   // events for this rank all share it (log_recovery falls back to it).
   recovery_span_[idx] = trace_.next_span();
@@ -1496,7 +1496,6 @@ std::size_t MdsCluster::flush_client_sessions(MdsRank a, MdsRank b) {
       until = std::max(until, stall_until);
     }
   }
-  sessions_flushed_ += flushed;
   om_.sessions_flushed.inc(flushed);
   return flushed;
 }

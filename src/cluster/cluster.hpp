@@ -617,8 +617,11 @@ class MdsCluster {
   std::size_t active_migration_count() const { return active_migrations_.size(); }
   /// Requests currently parked on down subtrees (must drain at quiesce).
   std::size_t dead_letter_size() const { return dead_letter_.size(); }
-  /// Heartbeats rejected by the stale-epoch/ordering guard.
-  std::uint64_t stale_heartbeats_rejected() const { return hb_stale_rejected_; }
+  /// Heartbeats rejected by the stale-epoch/ordering guard
+  /// (`mds_heartbeats_stale_rejected_total`).
+  std::uint64_t stale_heartbeats_rejected() const {
+    return om_.hb_stale_rejected.value();
+  }
   const std::vector<MigrationRecord>& migrations() const { return migrations_; }
   /// Exports that aborted mid-2PC because one end died (finished = abort time).
   const std::vector<MigrationRecord>& aborted_migrations() const {
@@ -626,9 +629,15 @@ class MdsCluster {
   }
   /// Crash/takeover/replay events in order (see RecoveryEvent).
   const std::vector<RecoveryEvent>& recovery_log() const { return recovery_log_; }
-  /// Requests lost to dead ranks (dropped queues + dead-host deliveries).
-  std::uint64_t requests_dropped() const { return requests_dropped_; }
-  std::uint64_t total_sessions_flushed() const { return sessions_flushed_; }
+  /// Requests lost to dead ranks (dropped queues + dead-host deliveries;
+  /// `mds_requests_dropped_total`).
+  std::uint64_t requests_dropped() const {
+    return om_.requests_dropped.value();
+  }
+  /// `client_sessions_flushed_total`.
+  std::uint64_t total_sessions_flushed() const {
+    return om_.sessions_flushed.value();
+  }
   std::uint64_t total_forwards() const;
   std::uint64_t total_hits() const;
   std::uint64_t total_completed() const;
@@ -703,7 +712,6 @@ class MdsCluster {
   /// so arming retries never perturbs the main rng's event sequence.
   std::map<DirFragId, int> export_retry_attempts_;
   Rng retry_rng_;
-  std::uint64_t hb_stale_rejected_ = 0;
 
   std::vector<SessionTable> sessions_;     // per-rank client sessions (dense)
   std::vector<Time> client_stall_until_;   // session-flush stall, by client id
@@ -711,7 +719,6 @@ class MdsCluster {
   /// the current generation are already counted in this flush.
   std::vector<std::uint64_t> flush_mark_;
   std::uint64_t flush_gen_ = 0;
-  std::uint64_t sessions_flushed_ = 0;
 
   // -- fault state -------------------------------------------------------------
   std::vector<NodeLife> life_;
@@ -721,7 +728,6 @@ class MdsCluster {
   std::vector<obs::SpanId> recovery_span_;
   std::vector<std::pair<DirFragId, Request>> dead_letter_;
   std::vector<RecoveryEvent> recovery_log_;
-  std::uint64_t requests_dropped_ = 0;
   NetworkFaults* net_faults_ = nullptr;
 
   std::function<void(const Reply&)> reply_cb_;

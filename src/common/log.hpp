@@ -6,9 +6,9 @@
 /// \file log.hpp
 /// Minimal leveled logger. Off (Warn) by default so test and benchmark
 /// output stays clean; harnesses raise the level with --verbose-style
-/// flags. Not thread-safe beyond what stdio provides, which is fine: the
-/// simulator is single-threaded and the threaded cluster driver logs only
-/// from the coordinating thread.
+/// flags. Not thread-safe beyond what stdio provides. A scenario runs on
+/// one thread; the workers of the bench harness's parallel seed sweep
+/// read the level but never set it.
 
 namespace mantle {
 

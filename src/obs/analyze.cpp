@@ -125,11 +125,6 @@ MetricsSnapshot parse_metrics_json(const std::string& json) {
 // Analysis
 // ---------------------------------------------------------------------------
 
-Report analyze(const TraceSink& sink, const AnalyzeConfig& cfg,
-               const std::map<std::string, double>* counters) {
-  return analyze(sink.snapshot(), cfg, counters);
-}
-
 Report analyze(const std::vector<TraceEvent>& events, const AnalyzeConfig& cfg,
                const MetricsSnapshot& metrics) {
   Report rep = analyze(events, cfg, &metrics.counters);

@@ -8,12 +8,12 @@
 #include "obs/trace.hpp"
 
 /// \file analyze.hpp
-/// Trace analytics: turns a recorded timeline (a live TraceSink or a
-/// parsed `*.trace.json` dump) into per-tick time series, a run summary
-/// and a set of anomaly findings. This is the read side of the
-/// observability layer — nothing here feeds back into the simulation, so
-/// it can run offline over dumped traces (the `mantle-stat` CLI) or
-/// inline in tests.
+/// Trace analytics: turns a recorded timeline (a live TraceSink's
+/// events() or a parsed `*.trace.json` dump) into per-tick time series,
+/// a run summary and a set of anomaly findings. This is the read side of
+/// the observability layer — nothing here feeds back into the
+/// simulation, so it can run offline over dumped traces (the
+/// `mantle-stat` CLI) or inline in tests.
 ///
 /// Determinism contract: given the same events and config, analyze()
 /// produces the same Report and Report::to_json() serializes it
@@ -163,8 +163,6 @@ struct Report {
 /// e.g. from parse_metrics_counters() — used for the locality ratio.
 Report analyze(const std::vector<TraceEvent>& events,
                const AnalyzeConfig& cfg = {},
-               const std::map<std::string, double>* counters = nullptr);
-Report analyze(const TraceSink& sink, const AnalyzeConfig& cfg = {},
                const std::map<std::string, double>* counters = nullptr);
 
 /// Analyze with a full metrics snapshot: same as the counters overload,

@@ -8,28 +8,7 @@
 
 namespace mantle::obs {
 
-namespace {
-
-/// Scratch instances handed out on name/kind collisions so misuse never
-/// dereferences a null handle. Their values are shared process-wide and
-/// meaningless; the `obs_registry_collisions_total` counter is the real
-/// signal.
-Counter& scratch_counter() {
-  static Counter c;
-  return c;
-}
-Gauge& scratch_gauge() {
-  static Gauge g;
-  return g;
-}
-Histogram& scratch_histogram() {
-  static Histogram h{{1.0}};
-  return h;
-}
-
-}  // namespace
-
-void MetricsRegistry::note_collision_locked() {
+void MetricsRegistry::note_collision() {
   auto it = entries_.find(kCollisionCounterName);
   if (it == entries_.end()) {
     Entry e;
@@ -42,7 +21,6 @@ void MetricsRegistry::note_collision_locked() {
 }
 
 std::vector<std::string> MetricsRegistry::counter_names() const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::vector<std::string> out;
   for (const auto& [name, e] : entries_)
     if (e.kind == Kind::kCounter) out.push_back(name);
@@ -61,20 +39,13 @@ Histogram::Histogram(std::vector<double> upper_bounds)
 void Histogram::observe(double x) noexcept {
   std::size_t i = 0;
   while (i < bounds_.size() && x > bounds_[i]) ++i;
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(x, std::memory_order_relaxed);
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i)
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  return out;
+  ++buckets_[i];
+  ++count_;
+  sum_ += x;
 }
 
 double Histogram::quantile(double q) const {
-  return estimate_quantile(bounds_, bucket_counts(), q);
+  return estimate_quantile(bounds_, buckets_, q);
 }
 
 double estimate_quantile(const std::vector<double>& bounds,
@@ -122,7 +93,6 @@ std::vector<double> lua_steps() {
 
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const std::string& help) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     Entry e;
@@ -131,15 +101,14 @@ Counter& MetricsRegistry::counter(const std::string& name,
     e.counter = std::make_unique<Counter>();
     it = entries_.emplace(name, std::move(e)).first;
   } else if (it->second.kind != Kind::kCounter) {
-    note_collision_locked();
-    return scratch_counter();
+    note_collision();
+    return scratch_counter_;
   }
   return *it->second.counter;
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name,
                               const std::string& help) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     Entry e;
@@ -148,8 +117,8 @@ Gauge& MetricsRegistry::gauge(const std::string& name,
     e.gauge = std::make_unique<Gauge>();
     it = entries_.emplace(name, std::move(e)).first;
   } else if (it->second.kind != Kind::kGauge) {
-    note_collision_locked();
-    return scratch_gauge();
+    note_collision();
+    return scratch_gauge_;
   }
   return *it->second.gauge;
 }
@@ -157,7 +126,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name,
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       std::vector<double> bounds,
                                       const std::string& help) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     Entry e;
@@ -166,19 +134,13 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
     e.histogram = std::make_unique<Histogram>(std::move(bounds));
     it = entries_.emplace(name, std::move(e)).first;
   } else if (it->second.kind != Kind::kHistogram) {
-    note_collision_locked();
-    return scratch_histogram();
+    note_collision();
+    return scratch_histogram_;
   }
   return *it->second.histogram;
 }
 
-std::size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return entries_.size();
-}
-
 std::string MetricsRegistry::to_prometheus() const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::string out;
   char buf[128];
   for (const auto& [name, e] : entries_) {
@@ -195,7 +157,7 @@ std::string MetricsRegistry::to_prometheus() const {
         break;
       case Kind::kHistogram: {
         out += "# TYPE " + name + " histogram\n";
-        const auto counts = e.histogram->bucket_counts();
+        const auto& counts = e.histogram->bucket_counts();
         const auto& bounds = e.histogram->bounds();
         std::uint64_t cum = 0;
         for (std::size_t i = 0; i < bounds.size(); ++i) {
@@ -226,7 +188,6 @@ std::string MetricsRegistry::to_prometheus() const {
 }
 
 std::string MetricsRegistry::to_json() const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::string counters;
   std::string gauges;
   std::string histograms;
@@ -245,7 +206,7 @@ std::string MetricsRegistry::to_json() const {
         break;
       case Kind::kHistogram: {
         if (!histograms.empty()) histograms += ",";
-        const auto counts = e.histogram->bucket_counts();
+        const auto& counts = e.histogram->bucket_counts();
         const auto& bounds = e.histogram->bounds();
         std::string bkt;
         for (std::size_t i = 0; i < counts.size(); ++i) {

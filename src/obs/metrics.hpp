@@ -1,21 +1,18 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 /// \file metrics.hpp
 /// The metrics half of the observability layer: a registry of named
 /// counters, gauges and fixed-bucket histograms with Prometheus-text and
-/// JSON exporters. Registration (name -> handle) is mutex-guarded and
-/// rare; every update on a returned handle is a single relaxed atomic
-/// op, so instrumented hot paths (request completion, heartbeat sends)
-/// stay cheap and the registry can be hammered from the parallel seed
-/// sweep without locking.
+/// JSON exporters. Each registry belongs to one scenario, which runs on
+/// one thread (the parallel seed sweep gives every seed its own
+/// scenario), so nothing here locks: registration is a map lookup and
+/// every update on a returned handle is a plain add or store.
 ///
 /// Determinism contract: exporters iterate a name-ordered map and format
 /// numbers with format_metric_value() (obs/json.hpp), so a
@@ -28,58 +25,51 @@ namespace mantle::obs {
 /// Monotonically increasing event count.
 class Counter {
  public:
-  void inc(std::uint64_t delta = 1) noexcept {
-    v_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
+  void inc(std::uint64_t delta = 1) noexcept { v_ += delta; }
+  std::uint64_t value() const noexcept { return v_; }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  std::uint64_t v_ = 0;
 };
 
 /// A value that can go up and down (queue depth, simulated clock, ...).
 class Gauge {
  public:
-  void set(double x) noexcept { v_.store(x, std::memory_order_relaxed); }
-  void add(double delta) noexcept {
-    v_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  double value() const noexcept { return v_.load(std::memory_order_relaxed); }
+  void set(double x) noexcept { v_ = x; }
+  void add(double delta) noexcept { v_ += delta; }
+  double value() const noexcept { return v_; }
 
  private:
-  std::atomic<double> v_{0.0};
+  double v_ = 0.0;
 };
 
 /// Fixed-bucket histogram (cumulative buckets, Prometheus-style): bucket
 /// i counts observations <= bounds[i]; an implicit +Inf bucket catches
-/// the rest. Bounds are fixed at registration, so observe() is two
-/// relaxed atomic ops plus a branchless-ish scan over a handful of
-/// doubles.
+/// the rest. Bounds are fixed at registration, so observe() is a scan
+/// over a handful of doubles plus three adds.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds);
 
   void observe(double x) noexcept;
 
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
+  std::uint64_t count() const noexcept { return count_; }
+  double sum() const noexcept { return sum_; }
   const std::vector<double>& bounds() const noexcept { return bounds_; }
   /// Per-bucket (non-cumulative) counts; index bounds_.size() is +Inf.
-  std::vector<std::uint64_t> bucket_counts() const;
+  const std::vector<std::uint64_t>& bucket_counts() const noexcept {
+    return buckets_;
+  }
 
   /// Estimated q-quantile (q in [0,1]) by linear interpolation within
   /// the bucket holding the target rank — see estimate_quantile().
   double quantile(double q) const;
 
  private:
-  std::vector<double> bounds_;                       // sorted ascending
-  std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds_.size() + 1
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  std::vector<double> bounds_;          // sorted ascending
+  std::vector<std::uint64_t> buckets_;  // bounds_.size() + 1
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
 };
 
 /// Common bucket layouts used across the instrumentation.
@@ -105,9 +95,10 @@ class MetricsRegistry {
 
   /// Get-or-create by name. Returned references live as long as the
   /// registry. If the name exists with a different kind, a warning
-  /// counter (`obs_registry_collisions_total`) is bumped and a
-  /// process-wide scratch instance is returned so callers never crash on
-  /// a naming bug — the collision is visible in the snapshot instead.
+  /// counter (`obs_registry_collisions_total`) is bumped and one of the
+  /// registry's unexported scratch instances is returned, so callers never
+  /// crash on a naming bug — the collision is visible in the snapshot
+  /// instead.
   Counter& counter(const std::string& name, const std::string& help = "");
   Gauge& gauge(const std::string& name, const std::string& help = "");
   Histogram& histogram(const std::string& name, std::vector<double> bounds,
@@ -124,7 +115,7 @@ class MetricsRegistry {
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
   std::string to_json() const;
 
-  std::size_t size() const;
+  std::size_t size() const { return entries_.size(); }
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
@@ -136,10 +127,13 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
-  void note_collision_locked();
+  void note_collision();
 
-  mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;  // name-ordered => stable exports
+  // Handed out on name/kind collisions; their values mean nothing.
+  Counter scratch_counter_;
+  Gauge scratch_gauge_;
+  Histogram scratch_histogram_{{1.0}};
 };
 
 /// Quantile estimation over fixed buckets (Prometheus

@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace mantle::obs {
 namespace {
@@ -54,13 +52,6 @@ const char* profile_phase_name(ProfilePhase p) {
 
 std::string profile_metric_name(ProfilePhase p) {
   return "mantle_profile_" + underscored(p) + "_scopes_total";
-}
-
-Profiler::Profiler() {
-  const char* env = std::getenv("MANTLE_PROFILE");
-  if (env != nullptr && std::strcmp(env, "0") == 0) {
-    enabled_.store(false, std::memory_order_relaxed);
-  }
 }
 
 Profiler& Profiler::instance() {

@@ -38,9 +38,10 @@ const char* profile_phase_name(ProfilePhase p);
 /// profiler keeps them out of the deterministic registry.
 std::string profile_metric_name(ProfilePhase p);
 
-/// Process-wide singleton accumulating per-phase wall/self time.
-/// All mutation is relaxed-atomic: the parallel seed sweep hammers it
-/// from many threads at once.
+/// Process-wide singleton accumulating per-phase wall/self time. It is
+/// the one observability object shared across threads (every worker of
+/// the harness's parallel seed sweep charges it), so all mutation is
+/// relaxed-atomic.
 class Profiler {
  public:
   struct PhaseStats {
@@ -51,7 +52,7 @@ class Profiler {
 
   static Profiler& instance();
 
-  /// Honors MANTLE_PROFILE=0 at first use; defaults to enabled.
+  /// Enabled by default; perfbench and tests switch it with set_enabled().
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
@@ -68,7 +69,7 @@ class Profiler {
   std::string to_json() const;
 
  private:
-  Profiler();
+  Profiler() = default;
   struct Cell {
     std::atomic<std::uint64_t> scopes{0};
     std::atomic<std::uint64_t> wall{0};

@@ -135,7 +135,6 @@ std::string DecisionRecord::to_json() const {
 }
 
 bool ProvenanceRecorder::record(DecisionRecord rec) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (records_.size() >= capacity_) {
     ++dropped_;
     return false;
@@ -144,29 +143,7 @@ bool ProvenanceRecorder::record(DecisionRecord rec) {
   return true;
 }
 
-std::vector<DecisionRecord> ProvenanceRecorder::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_;
-}
-
-std::uint64_t ProvenanceRecorder::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-std::size_t ProvenanceRecorder::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
-}
-
-void ProvenanceRecorder::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-  dropped_ = 0;
-}
-
 std::string ProvenanceRecorder::to_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out =
       "{\"dropped\":" + std::to_string(dropped_) + ",\"records\":[";
   for (std::size_t i = 0; i < records_.size(); ++i) {

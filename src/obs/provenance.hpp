@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -88,8 +87,9 @@ struct DecisionRecord {
 /// input table.
 std::string input_digest(const DecisionRecord& rec);
 
-/// Bounded, thread-safe record store (same shape as TraceSink): keeps
-/// the first `capacity` records, counts the rest as dropped.
+/// Bounded record store (same shape as TraceSink): keeps the first
+/// `capacity` records, counts the rest as dropped. Like the sink, it
+/// belongs to one scenario on one thread and takes no lock.
 class ProvenanceRecorder {
  public:
   explicit ProvenanceRecorder(std::size_t capacity = 4096)
@@ -98,16 +98,15 @@ class ProvenanceRecorder {
   /// Returns false when the record was dropped (capacity reached).
   bool record(DecisionRecord rec);
 
-  std::vector<DecisionRecord> snapshot() const;
-  std::uint64_t dropped() const;
-  std::size_t size() const;
-  void clear();
+  /// The stored records, in record order.
+  const std::vector<DecisionRecord>& records() const { return records_; }
+  std::uint64_t dropped() const { return dropped_; }
+  std::size_t size() const { return records_.size(); }
 
   /// Deterministic dump: {"records":[...],"dropped":N}.
   std::string to_json() const;
 
  private:
-  mutable std::mutex mu_;
   std::size_t capacity_;
   std::vector<DecisionRecord> records_;
   std::uint64_t dropped_ = 0;

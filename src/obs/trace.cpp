@@ -40,7 +40,6 @@ const char* event_kind_name(EventKind kind) {
 }
 
 void TraceSink::record(TraceEvent ev) {
-  std::lock_guard<std::mutex> lk(mu_);
   if (events_.size() >= capacity_) {
     ++dropped_;
     return;
@@ -52,7 +51,6 @@ void TraceSink::event(
     Time at, EventKind kind, int rank, int peer, std::string_view detail,
     std::initializer_list<std::pair<const char*, double>> fields, SpanId span,
     SpanId parent) {
-  std::lock_guard<std::mutex> lk(mu_);
   if (events_.size() >= capacity_) {
     ++dropped_;
     return;
@@ -69,40 +67,7 @@ void TraceSink::event(
   for (const auto& [k, v] : fields) ev.fields.emplace_back(k, v);
 }
 
-SpanId TraceSink::next_span() {
-  std::lock_guard<std::mutex> lk(mu_);
-  return static_cast<SpanId>(++next_span_);
-}
-
-std::uint64_t TraceSink::spans_allocated() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return next_span_;
-}
-
-std::size_t TraceSink::size() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return events_.size();
-}
-
-std::uint64_t TraceSink::dropped_events() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return dropped_;
-}
-
-std::vector<TraceEvent> TraceSink::snapshot() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return events_;
-}
-
-void TraceSink::clear() {
-  std::lock_guard<std::mutex> lk(mu_);
-  events_.clear();
-  dropped_ = 0;
-  next_span_ = 0;
-}
-
 std::string TraceSink::to_json() const {
-  std::lock_guard<std::mutex> lk(mu_);
   std::string out = "[";
   char buf[64];
   bool first_ev = true;
@@ -151,7 +116,6 @@ std::string TraceSink::to_json() const {
 std::string TraceSink::to_perfetto() const { return to_perfetto(nullptr); }
 
 std::string TraceSink::to_perfetto(const Profiler* profiler) const {
-  std::lock_guard<std::mutex> lk(mu_);
   char buf[96];
   // Ranks become threads of one "mantle" process; rank -1 (cluster-wide
   // events) maps to tid 0, rank r to tid r+1.

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -87,6 +86,8 @@ struct TraceEvent {
   std::vector<std::pair<std::string, double>> fields;
 };
 
+/// One sink belongs to one scenario, which runs on one thread, so it
+/// takes no lock and hands out its stored events by reference.
 class TraceSink {
  public:
   /// `capacity` bounds memory on long runs; once full, new events are
@@ -107,13 +108,14 @@ class TraceSink {
 
   /// Allocate the next causal span id. Allocation order follows event
   /// dispatch order, so identical seeded runs number spans identically.
-  SpanId next_span();
+  SpanId next_span() { return static_cast<SpanId>(++next_span_); }
   /// Spans allocated so far (equals the largest id handed out).
-  std::uint64_t spans_allocated() const;
+  std::uint64_t spans_allocated() const { return next_span_; }
 
-  std::size_t size() const;
-  std::uint64_t dropped_events() const;
-  std::vector<TraceEvent> snapshot() const;
+  std::size_t size() const { return events_.size(); }
+  std::uint64_t dropped_events() const { return dropped_; }
+  /// The stored timeline, in record order.
+  const std::vector<TraceEvent>& events() const { return events_; }
 
   /// The whole timeline as one JSON array of event objects.
   std::string to_json() const;
@@ -132,10 +134,7 @@ class TraceSink {
   std::string to_perfetto() const;
   std::string to_perfetto(const class Profiler* profiler) const;
 
-  void clear();
-
  private:
-  mutable std::mutex mu_;
   std::size_t capacity_;
   std::vector<TraceEvent> events_;
   std::uint64_t dropped_ = 0;

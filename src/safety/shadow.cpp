@@ -208,7 +208,7 @@ ShadowVerdict shadow_evaluate(const std::vector<obs::TraceEvent>& recorded,
   }
 
   // --- verdict ---
-  v.report = obs::analyze(shadow_trace.snapshot(), cfg.analyze);
+  v.report = obs::analyze(shadow_trace.events(), cfg.analyze);
   if (v.ticks_replayed == 0) {
     v.accepted = false;
     v.reason = "recorded trace contains no balancer ticks to replay";

@@ -18,9 +18,10 @@
 /// Figure 4 reproduction needs: the paper shows CephFS balancing is *not*
 /// reproducible run to run, and we reproduce that by varying only seeds.
 ///
-/// Scale architecture (ROADMAP item 1): the engine used to keep one
-/// heap-allocated `std::function` per event in a binary heap, which caps
-/// simulations at tens of ranks. It now runs on
+/// Scale architecture (docs/PERFORMANCE.md, "scaling the simulator to
+/// 512 ranks"): the engine used to keep one heap-allocated
+/// `std::function` per event in a binary heap, which caps simulations at
+/// tens of ranks. It now runs on
 ///   - an arena-allocated event pool (`EventPool`): events live in fixed
 ///     chunks recycled through a free list, so steady-state scheduling
 ///     performs no per-event allocation, and

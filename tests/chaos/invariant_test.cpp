@@ -93,7 +93,7 @@ TEST(Invariant, AuthAnnotationDisagreeingWithSubtreeMapIsCaught) {
 
   // The breakage is mirrored into the trace for timeline reconstruction.
   bool traced = false;
-  for (const auto& e : h.cluster.trace().snapshot())
+  for (const auto& e : h.cluster.trace().events())
     traced |= e.kind == obs::EventKind::InvariantViolation;
   EXPECT_TRUE(traced);
 }

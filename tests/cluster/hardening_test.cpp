@@ -61,7 +61,7 @@ struct Harness {
 
   std::size_t trace_count(obs::EventKind kind) const {
     std::size_t n = 0;
-    for (const auto& e : cluster.trace().snapshot()) n += e.kind == kind;
+    for (const auto& e : cluster.trace().events()) n += e.kind == kind;
     return n;
   }
 };
@@ -98,7 +98,7 @@ TEST(Hardening, StaleEpochHeartbeatRejectedAfterCrash) {
   // The observer's next tick reports the rejection in its hb-received
   // summary.
   observer.tick();
-  const std::vector<obs::TraceEvent> evs = h.cluster.trace().snapshot();
+  const std::vector<obs::TraceEvent>& evs = h.cluster.trace().events();
   const auto summary = std::find_if(evs.begin(), evs.end(), [](const auto& e) {
     return e.kind == obs::EventKind::HeartbeatReceived && e.rank == 1;
   });

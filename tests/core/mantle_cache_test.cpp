@@ -155,7 +155,7 @@ TEST(MantleCache, CountersExportToRegistryAndRecompileIsTraced) {
   EXPECT_EQ(metrics.counter("mantle_policy_cache_recompiles_total").value(),
             1u);
   bool saw_recompile = false;
-  for (const auto& ev : trace.snapshot()) {
+  for (const auto& ev : trace.events()) {
     if (ev.kind == obs::EventKind::PolicyRecompile) {
       saw_recompile = true;
       EXPECT_EQ(ev.detail, "metaload");

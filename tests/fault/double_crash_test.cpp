@@ -128,7 +128,7 @@ TEST(DoubleCrash, EachCrashArcGetsItsOwnRecoverySpan) {
   // recovery-arc event (restart, takeover, replay) belongs to one of them.
   std::set<obs::SpanId> crash_spans;
   std::size_t arc_events = 0;
-  for (const auto& e : h.cluster.trace().snapshot()) {
+  for (const auto& e : h.cluster.trace().events()) {
     if (e.rank != 1) continue;
     switch (e.kind) {
       case obs::EventKind::Crash:

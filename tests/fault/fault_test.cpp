@@ -100,6 +100,9 @@ TEST(Fault, CrashDropsQueuedRequestsAndLogsIt) {
   h.engine.run();
   EXPECT_EQ(h.replies.size(), before) << "no replies from a dead rank";
   EXPECT_GT(h.cluster.requests_dropped(), 0u);
+  // The dumped counter sees the requests the crash dropped from the queue.
+  EXPECT_EQ(h.cluster.metrics().counter("mds_requests_dropped_total").value(),
+            h.cluster.requests_dropped());
   ASSERT_EQ(h.recovery_count(RecoveryEvent::Kind::Crash), 1u);
 }
 

@@ -274,7 +274,7 @@ TEST(Parse, AnalyzingParsedDumpMatchesAnalyzingLiveSink) {
              {{"entries", 4.0}}, 2, s1);
   sink.event(kSec, EventKind::ExportCommit, 0, 1, "1.0x00000000/0",
              {{"entries", 4.0}}, 2);
-  const Report live = analyze(sink);
+  const Report live = analyze(sink.events());
   const Report parsed = analyze(parse_trace_json(sink.to_json()));
   EXPECT_EQ(live.to_json(), parsed.to_json());
 }
@@ -324,7 +324,7 @@ TEST(Spans, ThreadedThroughScenario) {
 
   EXPECT_GT(s.cluster().trace().spans_allocated(), 0u);
   std::size_t starts = 0;
-  for (const TraceEvent& ev : s.cluster().trace().snapshot()) {
+  for (const TraceEvent& ev : s.cluster().trace().events()) {
     switch (ev.kind) {
       case EventKind::WhenDecision:
         // Every balancer tick carries its own span.
@@ -360,7 +360,7 @@ TEST(Spans, ThreadedThroughScenario) {
   ASSERT_GT(starts, 0u) << "scenario produced no migrations to check";
 
   // Every migration span resolves: the stuck-export detector agrees.
-  const Report rep = analyze(s.cluster().trace());
+  const Report rep = analyze(s.cluster().trace().events());
   EXPECT_EQ(rep.count("stuck-export"), 0u);
   EXPECT_GT(rep.spans, 0u);
 }

@@ -39,7 +39,8 @@ ObsDump snapshot_of(sim::Scenario& s) {
   d.trace_json = s.cluster().trace().to_json();
   d.perfetto_json = s.cluster().trace().to_perfetto();
   const auto counters = parse_metrics_counters(d.metrics_json);
-  d.analysis_json = analyze(s.cluster().trace(), {}, &counters).to_json();
+  d.analysis_json =
+      analyze(s.cluster().trace().events(), {}, &counters).to_json();
   d.counter_names = s.cluster().metrics().counter_names();
   d.trace_events = s.cluster().trace().size();
   d.dropped = s.cluster().trace().dropped_events();

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace mantle::obs {
@@ -14,7 +13,7 @@ TEST(Trace, RecordsInOrder) {
   sink.event(10, EventKind::HeartbeatSent, 0, 1);
   sink.event(20, EventKind::WhenDecision, 0, -1, "", {{"go", 1.0}});
   ASSERT_EQ(sink.size(), 2u);
-  const auto evs = sink.snapshot();
+  const auto& evs = sink.events();
   EXPECT_EQ(evs[0].at, 10u);
   EXPECT_EQ(evs[0].kind, EventKind::HeartbeatSent);
   EXPECT_EQ(evs[0].peer, 1);
@@ -31,9 +30,6 @@ TEST(Trace, CapacityCapCountsDrops) {
   sink.event(3, EventKind::HeartbeatSent);
   EXPECT_EQ(sink.size(), 2u);
   EXPECT_EQ(sink.dropped_events(), 1u);
-  sink.clear();
-  EXPECT_EQ(sink.size(), 0u);
-  EXPECT_EQ(sink.dropped_events(), 0u);
 
   // event() checks the capacity before it builds anything; it must still
   // keep exactly the prefix and drop count of building the event and
@@ -88,10 +84,6 @@ TEST(Trace, JsonCarriesSpanAndParent) {
   EXPECT_EQ(sink.to_json(),
             "[{\"t_us\":9,\"kind\":\"export-start\",\"rank\":1,\"peer\":2,"
             "\"span\":2,\"parent\":1,\"detail\":\"f\"}]");
-  sink.clear();
-  // clear() resets the span counter too, so reruns number identically.
-  EXPECT_EQ(sink.spans_allocated(), 0u);
-  EXPECT_EQ(sink.next_span(), 1);
 }
 
 TEST(Trace, PerfettoHasTracksAndMigrationPairs) {
@@ -138,26 +130,6 @@ TEST(Trace, EveryKindHasAName) {
     EXPECT_STRNE(name, "?") << "kind " << k;
     EXPECT_GT(std::string(name).size(), 0u);
   }
-}
-
-// Concurrent appends (parallel seed sweeps share nothing, but a single
-// scenario's probes may record from helper threads) must be race-free;
-// run under TSan in CI.
-TEST(Trace, ConcurrentRecordIsSafe) {
-  TraceSink sink;
-  constexpr int kThreads = 8;
-  constexpr int kIters = 1000;
-  std::vector<std::thread> ts;
-  ts.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&sink, t] {
-      for (int i = 0; i < kIters; ++i)
-        sink.event(i, EventKind::HeartbeatSent, t);
-    });
-  }
-  for (auto& t : ts) t.join();
-  EXPECT_EQ(sink.size() + sink.dropped_events(),
-            static_cast<std::size_t>(kThreads) * kIters);
 }
 
 }  // namespace

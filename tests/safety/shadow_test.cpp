@@ -36,7 +36,7 @@ std::vector<TraceEvent> hotspot_trace(int ticks = 20, int nranks = 3) {
       sink.event(t + 1000, EventKind::WhenDecision, r, -1, {},
                  {{"go", 0.0}});
   }
-  return sink.snapshot();
+  return sink.events();
 }
 
 core::MantlePolicy ping_pong_policy() {
@@ -148,7 +148,7 @@ TEST(ShadowTest, MetricsAndVerdictEventEmitted) {
   EXPECT_EQ(metrics.counter("mantle_shadow_evaluations_total").value(), 2u);
   EXPECT_EQ(metrics.counter("mantle_shadow_rejections_total").value(), 1u);
 
-  const std::vector<TraceEvent> evs = verdicts.snapshot();
+  const std::vector<TraceEvent>& evs = verdicts.events();
   ASSERT_EQ(evs.size(), 2u);
   EXPECT_EQ(evs[0].kind, EventKind::ShadowVerdict);
   EXPECT_EQ(evs[0].detail, "accepted");

@@ -34,7 +34,7 @@ std::vector<obs::DecisionRecord> record_run(std::uint64_t seed) {
     s.add_client(workloads::make_shared_create_workload(
         c, "/shared", /*files=*/4000, /*think=*/200));
   s.run();
-  return s.cluster().provenance().snapshot();
+  return s.cluster().provenance().records();
 }
 
 TEST(Whatif, IdenticalPolicyReplaysWithZeroDiffs) {

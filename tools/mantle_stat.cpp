@@ -193,7 +193,7 @@ mantle::obs::Report run_inline(const std::string& name, std::uint64_t seed,
   s.run();
   const auto counters =
       mantle::obs::parse_metrics_counters(s.cluster().metrics().to_json());
-  return mantle::obs::analyze(s.cluster().trace(), acfg, &counters);
+  return mantle::obs::analyze(s.cluster().trace().events(), acfg, &counters);
 }
 
 }  // namespace
