@@ -86,15 +86,16 @@ void ClientPopulation::bootstrap_dirs() {
   for (Flow& f : flows_) {
     mds::InodeId cur = ns.root();
     std::size_t pos = 0;
-    const std::string& path = f.path;
+    const std::string_view path = f.path;
     while (pos < path.size() && cur != kNoInode) {
       while (pos < path.size() && path[pos] == '/') ++pos;
       std::size_t end = pos;
       while (end < path.size() && path[end] != '/') ++end;
       if (end == pos) break;
-      const std::string comp = path.substr(pos, end - pos);
       const auto res = ns.resolve(path.substr(0, end));
-      cur = res.found && res.is_dir ? res.ino : ns.mkdir(cur, comp, now);
+      cur = res.found && res.is_dir
+                ? res.ino
+                : ns.mkdir(cur, std::string(path.substr(pos, end - pos)), now);
       pos = end;
     }
     f.ino = cur;

@@ -58,11 +58,10 @@ TEST(Namespace, ResolvePath) {
   ASSERT_TRUE(r.found);
   EXPECT_EQ(r.ino, c);
   EXPECT_FALSE(r.is_dir);
-  ASSERT_EQ(r.steps.size(), 3u);
-  EXPECT_EQ(r.steps[0].frag.ino, ns.root());
-  EXPECT_EQ(r.steps[1].frag.ino, a);
-  EXPECT_EQ(r.steps[2].frag.ino, b);
-  EXPECT_EQ(r.steps[2].component, "c.txt");
+  const Resolution rb = ns.resolve("/a/b");
+  ASSERT_TRUE(rb.found);
+  EXPECT_EQ(rb.ino, b);
+  EXPECT_TRUE(rb.is_dir);
 }
 
 TEST(Namespace, ResolveRoot) {
@@ -71,16 +70,15 @@ TEST(Namespace, ResolveRoot) {
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.ino, kRootInode);
   EXPECT_TRUE(r.is_dir);
-  EXPECT_TRUE(r.steps.empty());
 }
 
-TEST(Namespace, ResolveMissingReportsPartialSteps) {
+TEST(Namespace, ResolveMissingComponentFails) {
   Namespace ns;
   ns.mkdir(ns.root(), "a", 0);
   const Resolution r = ns.resolve("/a/nope/deeper");
   EXPECT_FALSE(r.found);
-  ASSERT_EQ(r.steps.size(), 2u);  // consulted root then a
-  EXPECT_EQ(r.missing_at, 1u);
+  EXPECT_EQ(r.ino, kNoInode);
+  EXPECT_FALSE(r.is_dir);
 }
 
 TEST(Namespace, ReaddirListsAllFragments) {
