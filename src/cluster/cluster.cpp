@@ -261,17 +261,14 @@ void MdsNode::process_front() {
 
   auto& ns = cluster_.ns();
 
-  // Continuations scheduled below die with the process on a crash: they
-  // capture the current epoch and no-op if it has moved on.
-  const std::uint64_t ep = epoch_;
-
+  // Each branch below schedules the node's one pending continuation and
+  // keeps its id in continuation_; a crash cancels it (reset_for_crash).
   const mantle::mds::Dir* d = ns.dir(r.dir);
   if (d == nullptr) {
     // Unknown directory: answer with an error after a lookup-ish cost.
     const Time svc = service_time(OpType::Lookup);
     busy_in_window_ += svc;
-    cluster_.engine().schedule_after(svc, [this, ep, r]() {
-      if (ep != epoch_) return;
+    continuation_ = cluster_.engine().schedule_after(svc, [this, r]() {
       Reply rep;
       rep.req_id = r.id;
       rep.client = r.client;
@@ -296,9 +293,8 @@ void MdsNode::process_front() {
     // The covering subtree is mid-migration: park the request with the
     // migration; it is re-injected at the importer on completion.
     cluster_.defer_to_migration(target, std::move(r));
-    cluster_.engine().schedule_after(0, [this, ep]() {
-      if (ep == epoch_) process_front();
-    });
+    continuation_ =
+        cluster_.engine().schedule_after(0, [this]() { process_front(); });
     return;
   }
 
@@ -311,9 +307,8 @@ void MdsNode::process_front() {
     forward_pop_.hit(cluster_.engine().now(), cluster_.ns().decay_rate());
     const Time fwd = cluster_.config().svc_forward;
     busy_in_window_ += fwd;
-    cluster_.engine().schedule_after(
-        fwd, [this, ep, r = std::move(r), target]() mutable {
-          if (ep != epoch_) return;
+    continuation_ = cluster_.engine().schedule_after(
+        fwd, [this, r = std::move(r), target]() mutable {
           // Re-resolve at send time; if the authority is down the request
           // parks on the dead-letter queue instead of vanishing into a dead
           // host, and is re-injected when the subtree recovers.
@@ -369,21 +364,20 @@ void MdsNode::process_front() {
              static_cast<Time>((sharers - 1) * (sharers - 1));
   }
   busy_in_window_ += svc;
-  cluster_.engine().schedule_after(
-      svc, [this, ep, r = std::move(r), svc]() mutable {
-        if (ep != epoch_) return;
+  continuation_ = cluster_.engine().schedule_after(
+      svc, [this, r = std::move(r), svc]() mutable {
         complete(std::move(r), svc);
         process_front();
       });
 }
 
 std::size_t MdsNode::reset_for_crash(Time now) {
-  // The queue and the op in service die with the process; the epoch bump
-  // cancels every scheduled continuation.
+  // The queue and the op in service die with the process, and so does
+  // the continuation that would have served or forwarded it.
   std::size_t lost = queue_.size() + (busy_ ? 1 : 0);
   queue_.clear();
   busy_ = false;
-  ++epoch_;
+  cluster_.engine().cancel(continuation_);
   window_start_ = now;
   busy_in_window_ = 0;
   done_in_window_ = 0;

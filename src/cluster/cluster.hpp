@@ -384,9 +384,9 @@ class MdsNode {
   void complete(Request r, Time svc);
   Time service_time(OpType op);
 
-  /// Crash teardown: drop the queue and the op in service, invalidate
-  /// every scheduled continuation (epoch bump), reset window accounting.
-  /// Returns the number of requests lost.
+  /// Crash teardown: drop the queue and the op in service, cancel the
+  /// pending continuation, reset window accounting. Returns the number of
+  /// requests lost.
   std::size_t reset_for_crash(Time now);
 
   MdsCluster& cluster_;
@@ -394,10 +394,10 @@ class MdsNode {
   Rng rng_;
   std::deque<Request> queue_;
   bool busy_ = false;
-  /// Bumped on every crash; scheduled service continuations capture the
-  /// epoch they were created under and no-op if it has moved on (the
-  /// request they carried died with the process).
-  std::uint64_t epoch_ = 0;
+  /// The continuation process_front() last scheduled: it serves, forwards
+  /// or answers the request taken from the queue, then takes the next. A
+  /// crash cancels it, since its request died with the process.
+  sim::EventId continuation_;
 
   // Window accounting for CPU / request-rate metrics.
   Time window_start_ = 0;

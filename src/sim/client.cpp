@@ -116,13 +116,10 @@ void Client::submit(Request r, MdsRank guess) {
 }
 
 void Client::arm_timeout() {
-  const std::uint64_t tok = timer_token_;
-  cluster_.engine().schedule_after(backoff_, [this, tok]() {
-    if (tok != timer_token_ || !waiting_) return;
+  timer_ = cluster_.engine().schedule_after(backoff_, [this]() {
     if (retry_.max_attempts > 0 && attempt_ >= retry_.max_attempts) {
       // Out of attempts: report failure so the workload can move on.
       waiting_ = false;
-      ++timer_token_;
       finish_op(false, pending_.issued_at);
       return;
     }
@@ -171,7 +168,7 @@ void Client::on_reply(const Reply& rep) {
       return;
     }
     waiting_ = false;
-    ++timer_token_;  // cancel the armed timeout
+    cluster_.engine().cancel(timer_);
     // A retried mutation can fail only because an earlier attempt already
     // applied it (e.g. create -> already exists); that is a success.
     const bool ok = rep.ok || (attempt_ > 1 && is_mutation(pending_.op));

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/stats.hpp"
+#include "sim/engine.hpp"
 #include "sim/workload.hpp"
 
 /// \file client.hpp
@@ -73,12 +74,11 @@ class Client {
   Rng rng_;
   RetryPolicy retry_;
 
-  // Retry state for the (single) outstanding logical op. The token guards
-  // scheduled timeout closures: it is bumped whenever the op resolves, so
-  // a timer racing a late reply finds a stale token and does nothing.
+  // Retry state for the (single) outstanding logical op. The armed
+  // timeout is cancelled when the op resolves.
   cluster::Request pending_;
   std::uint64_t inflight_id_ = 0;
-  std::uint64_t timer_token_ = 0;
+  EventId timer_;
   mantle::mds::MdsRank last_guess_ = 0;
   Time backoff_ = 0;
   int attempt_ = 0;

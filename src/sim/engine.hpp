@@ -18,19 +18,16 @@
 /// Figure 4 reproduction needs: the paper shows CephFS balancing is *not*
 /// reproducible run to run, and we reproduce that by varying only seeds.
 ///
-/// Scale architecture (docs/PERFORMANCE.md, "scaling the simulator to
-/// 512 ranks"): the engine used to keep one heap-allocated
-/// `std::function` per event in a binary heap, which caps simulations at
-/// tens of ranks. It now runs on
-///   - an arena-allocated event pool (`EventPool`): events live in fixed
-///     chunks recycled through a free list, so steady-state scheduling
-///     performs no per-event allocation, and
-///   - a ladder queue: far-future events sit unsorted in a top tier,
-///     get shattered into progressively finer bucket rungs as the clock
-///     approaches, and are only fully sorted in a small bottom tier just
-///     before dispatch. Enqueue and dequeue are O(1) amortized; the total
-///     order is the exact (when, seq) order of the old heap, verified by a
-///     property test against a reference heap.
+/// Events live in an arena (`EventPool`): fixed chunks recycled through a
+/// free list, so steady-state scheduling performs no per-event allocation.
+/// The queue is one binary min-heap of (when, slot) keys in (when, seq)
+/// order, checked against a reference heap by a property test
+/// (docs/PERFORMANCE.md, "One heap, and cancel"). A continuation that can no longer act (a
+/// retry timeout whose op resolved, the service continuation of an MDS
+/// that crashed) is cancelled, not left to fire: cancel() destroys its
+/// callback at once, and its key leaves the heap when it reaches the top,
+/// or sooner, when cancelled keys outnumber live ones and the heap is
+/// rebuilt without them. The heap therefore stays O(live events).
 ///
 /// Callbacks are `sim::Callback`: a move-only type-erased function with
 /// 48 bytes of inline storage (heap fallback for oversized captures), so
@@ -148,25 +145,27 @@ class EventPool {
   using Ref = std::uint32_t;
   static constexpr Ref kNullRef = 0xffffffffu;
 
+  /// The seq orders same-time events in the queue. A slot keeps the seq
+  /// of the last event it held after that event ran or was cancelled, so
+  /// a stale EventId can tell it apart from the slot's next tenant. The
+  /// event's time lives only in the queue key.
   struct Event {
-    Time when = 0;
     std::uint64_t seq = 0;
     Callback fn;
   };
 
   struct Stats {
-    std::size_t live = 0;        ///< events currently scheduled
-    std::size_t peak_live = 0;   ///< high-water mark of live events
+    std::size_t live = 0;        ///< slots in use, cancelled but queued too
+    std::size_t peak_live = 0;   ///< high-water mark of `live`
     std::size_t capacity = 0;    ///< slots reserved across all chunks
     std::size_t bytes_reserved = 0;  ///< arena + free-list footprint
   };
 
-  Ref alloc(Time when, std::uint64_t seq, Callback fn) {
+  Ref alloc(std::uint64_t seq, Callback fn) {
     if (free_.empty()) grow();
     const Ref r = free_.back();
     free_.pop_back();
     Event& e = (*this)[r];
-    e.when = when;
     e.seq = seq;
     e.fn = std::move(fn);
     ++live_;
@@ -219,27 +218,41 @@ class EventPool {
   std::size_t peak_live_ = 0;
 };
 
+/// Handle to a scheduled event, for Engine::cancel(): its pool slot and
+/// its seq. A default-constructed id is null.
+struct EventId {
+  EventPool::Ref ref = EventPool::kNullRef;
+  std::uint64_t seq = 0;
+};
+
 class Engine {
  public:
   using Callback = sim::Callback;
-  using Ref = EventPool::Ref;
 
   Time now() const noexcept { return now_; }
 
   /// Schedule `fn` at absolute time `when` (>= now; earlier times are
   /// clamped to now). Scheduling at kTimeMax means "never": the callback
-  /// is dropped (destroyed, not invoked) and saturated_events() is bumped.
-  void schedule_at(Time when, Callback fn);
+  /// is dropped (destroyed, not invoked), saturated_events() is bumped and
+  /// the returned id is null.
+  EventId schedule_at(Time when, Callback fn);
 
   /// Schedule `fn` after a delay from now. `now + delay` saturates at the
   /// kTimeMax horizon sentinel instead of wrapping: a huge delay (e.g. a
   /// disabled-timeout sentinel) parks the event at "never" rather than
   /// scheduling it in the past.
-  void schedule_after(Time delay, Callback fn) {
+  EventId schedule_after(Time delay, Callback fn) {
     Time when = now_ + delay;
     if (when < now_) when = kTimeMax;  // unsigned wrap: saturate
-    schedule_at(when, std::move(fn));
+    return schedule_at(when, std::move(fn));
   }
+
+  /// Cancel an event that has not run yet: its callback is destroyed,
+  /// never invoked, and it no longer counts as pending. A no-op for a null
+  /// id, for an event that already ran or was already cancelled, and for
+  /// an id whose pool slot now holds a later event. Seqs are not reused,
+  /// so cancelling changes no other event's (when, seq).
+  void cancel(EventId id);
 
   /// Take the next sequence number without scheduling anything. The seq
   /// is never dispatched, but it shifts every later seq exactly as a
@@ -255,7 +268,7 @@ class Engine {
   /// (now(), current_seq()).
   std::uint64_t current_seq() const noexcept { return cur_seq_; }
 
-  /// Run until the queue is empty or the horizon is reached. Returns the
+  /// Run until no event is pending or the horizon is reached. Returns the
   /// number of events dispatched. Every event with `when <= horizon`
   /// fires; on return `now()` is the horizon when work remains pending
   /// beyond it (the clock catches up to the horizon), or the time of the
@@ -265,14 +278,16 @@ class Engine {
   /// Drain everything (no horizon).
   std::uint64_t run() { return run_until(kTimeMax); }
 
-  bool empty() const { return size_ == 0; }
-  std::size_t pending() const { return size_; }
+  /// Live events only: cancelled ones are not pending.
+  bool empty() const { return pending() == 0; }
+  std::size_t pending() const { return heap_.size() - cancelled_; }
 
   /// Events dropped by the kTimeMax "never" saturation.
   std::uint64_t saturated_events() const { return saturated_; }
 
   /// Arena footprint: live/peak event counts and bytes reserved — the
-  /// peak-RSS proxy reported by bench/fig_scale.
+  /// peak-RSS proxy reported by bench/fig_scale. A cancelled event keeps
+  /// its slot until its key leaves the heap.
   EventPool::Stats pool_stats() const { return pool_.stats(); }
 
   /// Attach a metrics registry: the engine keeps a dispatched-event
@@ -281,55 +296,37 @@ class Engine {
   void set_metrics(obs::MetricsRegistry* reg);
 
  private:
-  /// One rung of the ladder: an array of buckets of width `width` ticks
-  /// starting at `start`. `cur` is the next bucket to drain; events may
-  /// only be inserted at or after it (earlier times belong to a finer
-  /// rung or the bottom tier).
-  struct Rung {
-    Time start = 0;
-    Time width = 1;
-    std::size_t cur = 0;
-    std::size_t count = 0;
-    std::vector<std::vector<Ref>> buckets;
-
-    Time cur_start() const { return start + width * static_cast<Time>(cur); }
-    Time end() const {
-      return start + width * static_cast<Time>(buckets.size());
-    }
+  /// A queued event: its time and its pool slot, 16 bytes. The seq that
+  /// breaks ties in `when` is read from the slot; keys that carried it
+  /// too (24 bytes) made `compile16` about 4% slower.
+  struct Key {
+    Time when = 0;
+    EventPool::Ref ref = EventPool::kNullRef;
   };
 
-  void enqueue(Ref r);
-  void bottom_insert(Ref r);
-  /// Move the next chunk of events into the (empty) bottom tier, shattering
-  /// oversized buckets into finer rungs on the way down.
-  void refill();
-  void spawn_rung(Time start, Time span, std::vector<Ref> events);
-  void spawn_rung_from_top();
+  /// Heap order. The heap functions keep the greatest key on top, so
+  /// "greater" means "fires later" and the top is the earliest
+  /// (when, seq).
+  struct Later {
+    const EventPool* pool;
+    bool operator()(const Key& a, const Key& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      return (*pool)[a.ref].seq > (*pool)[b.ref].seq;
+    }
+  };
+  Later later() const { return {&pool_}; }
 
-  bool earlier(Ref a, Ref b) const {
-    const EventPool::Event& ea = pool_[a];
-    const EventPool::Event& eb = pool_[b];
-    if (ea.when != eb.when) return ea.when < eb.when;
-    return ea.seq < eb.seq;
-  }
-
-  static constexpr std::size_t kFanout = 64;  // buckets per spawned rung
-  static constexpr std::size_t kSortThreshold = 64;  // bucket -> bottom cutoff
-  static constexpr std::size_t kMaxRungs = 10;
+  /// Remove the top key and return its slot to the pool.
+  void pop_top();
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t cur_seq_ = 0;
-  std::size_t size_ = 0;
   std::uint64_t saturated_ = 0;
 
   EventPool pool_;
-  std::vector<Ref> bottom_;  // sorted by (when, seq) descending; pop back
-  std::vector<Rung> rungs_;  // [0] coarsest; back() finest
-  std::vector<Ref> top_;     // unsorted far future: when >= top_start_
-  Time top_start_ = 0;
-  Time top_min_ = kTimeMax;
-  Time top_max_ = 0;
+  std::vector<Key> heap_;
+  std::size_t cancelled_ = 0;  // keys in heap_ whose callback was cancelled
 
   // Cached handles into the attached registry (null = not attached).
   obs::Counter* m_dispatched_ = nullptr;

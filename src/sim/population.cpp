@@ -235,11 +235,10 @@ void ClientPopulation::tick() {
 }
 
 void ClientPopulation::arm_timeout(std::uint32_t slot_idx) {
-  const std::uint64_t gen = slots_[slot_idx].gen;
-  cluster_.engine().schedule_after(slots_[slot_idx].backoff,
-                                   [this, slot_idx, gen]() {
+  Slot& armed = slots_[slot_idx];
+  armed.timer = cluster_.engine().schedule_after(armed.backoff,
+                                                 [this, slot_idx]() {
     Slot& s = slots_[slot_idx];
-    if (!s.inflight || s.gen != gen) return;  // already resolved/reissued
     if (cfg_.retry.max_attempts > 0 && s.attempt >= cfg_.retry.max_attempts) {
       resolve(slot_idx, false);
       return;
@@ -281,7 +280,8 @@ void ClientPopulation::resolve(std::uint32_t slot_idx, bool ok) {
     ++sim_failed_;
     m_failed_.inc();
   }
-  ++s.gen;  // invalidates late replies and armed timers
+  ++s.gen;  // invalidates late replies
+  cluster_.engine().cancel(s.timer);
   s.inflight = false;
   s.name.clear();
   free_slots_.push_back(slot_idx);

@@ -121,11 +121,13 @@ class ClientPopulation {
     double hit_ema = 0.5;
   };
 
-  /// One simulated in-flight request. `gen` is bumped on every issue and
-  /// every resolve, and is encoded into the request id, so late replies
-  /// and stale timeout timers identify themselves by mismatch.
+  /// One simulated in-flight request. `gen` is bumped on every issue,
+  /// retry and resolve, and is encoded into the request id, so late
+  /// replies identify themselves by mismatch. The armed retry timeout is
+  /// cancelled when the request resolves.
   struct Slot {
     std::uint64_t gen = 0;
+    EventId timer;
     bool inflight = false;
     Time issued_at = 0;
     int attempt = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "balancers/builtin.hpp"
+#include "fault/fault.hpp"
 #include "sim/scenario.hpp"
 #include "workloads/create_heavy.hpp"
 
@@ -111,6 +112,65 @@ TEST(ClientPopulation, SeesForwardsAcrossMigrations) {
   EXPECT_TRUE(p.done());
   EXPECT_GT(s.cluster().migrations().size(), 0u);
   EXPECT_GT(p.forwards_seen(), 0u);
+}
+
+// A rank crash mid-window loses the requests it holds and drops those
+// sent to it. With a 1 s timeout the population resubmits each one to a
+// surviving rank, and every request still resolves exactly once.
+TEST(ClientPopulation, RetriesThroughACrash) {
+  struct Run {
+    bool done = false;
+    std::size_t outstanding = 0;
+    std::uint64_t retries = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t failed = 0;
+    std::size_t pending = 0;
+    std::string metrics;
+  };
+  const auto run = [] {
+    ScenarioConfig cfg;
+    cfg.cluster.num_mds = 3;
+    cfg.cluster.seed = 19;
+    cfg.cluster.bal_interval = kSec;
+    cfg.max_time = 60 * kSec;
+    Scenario s(cfg);
+    PopulationConfig pc = small_pop();
+    pc.duration = 6 * kSec;
+    pc.create_frac = 1.0;  // creates only: no read can miss its target
+    pc.retry.timeout = kSec;
+    const int pid = s.add_population(pc);
+    fault::FaultPlan plan;
+    plan.crashes.push_back({2 * kSec, 0});
+    plan.restarts.push_back({4 * kSec, 0});
+    fault::FaultInjector inj(plan);
+    inj.arm(s.cluster());
+    s.run();
+
+    const ClientPopulation& p = s.population(pid);
+    Run r;
+    r.done = p.done();
+    r.outstanding = p.outstanding();
+    r.retries = p.retries();
+    r.completed = p.sim_ops_completed();
+    r.failed = p.sim_ops_failed();
+    r.pending = s.engine().pending();
+    r.metrics = s.cluster().metrics().to_json();
+    return r;
+  };
+  const Run a = run();
+  EXPECT_TRUE(a.done);
+  EXPECT_EQ(a.outstanding, 0u);
+  EXPECT_GT(a.retries, 0u);
+  EXPECT_GT(a.completed, 1000u);
+  EXPECT_EQ(a.failed, 0u);
+  // Each timeout was cancelled when its request resolved: all that is
+  // left queued is one balancer tick per rank.
+  EXPECT_EQ(a.pending, 3u);
+
+  const Run b = run();
+  EXPECT_EQ(b.retries, a.retries);
+  EXPECT_EQ(b.completed, a.completed);
+  EXPECT_EQ(b.metrics, a.metrics);
 }
 
 }  // namespace

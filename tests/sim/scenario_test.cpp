@@ -137,6 +137,24 @@ TEST(Scenario, CompileWorkloadRunsAllPhases) {
             0.0);
 }
 
+// With retries on, every op arms a timeout and its reply cancels it. So
+// once the clients are done none of their timeouts is left queued: only
+// one balancer tick per rank.
+TEST(Scenario, AnsweredOpsLeaveNoTimeoutQueued) {
+  ScenarioConfig cfg;
+  cfg.cluster.num_mds = 2;
+  cfg.retry.timeout = kSec;
+  Scenario s(cfg);
+  for (int c = 0; c < 3; ++c)
+    s.add_client(workloads::make_private_create_workload(c, 200, 100));
+  s.run();
+  for (const auto& c : s.clients()) {
+    EXPECT_TRUE(c->done());
+    EXPECT_EQ(c->retries(), 0u);
+  }
+  EXPECT_EQ(s.engine().pending(), 2u);
+}
+
 TEST(Scenario, ProbesFireAtInterval) {
   ScenarioConfig cfg;
   cfg.cluster.num_mds = 1;
