@@ -48,9 +48,9 @@ InodeId Namespace::add(InodeId parent, const std::string& name, bool is_dir,
   Dir* pd = dir(parent);
   if (pd == nullptr || name.empty()) return kNoInode;
   DirFrag& f = pd->pick_frag(hash_dentry_name(name));
-  if (f.dentries.contains(name)) return kNoInode;
-
   const InodeId ino = inodes_.size();
+  if (!f.dentries.try_emplace(name, ino).second) return kNoInode;
+
   inodes_.push_back({ino, parent, name, is_dir, now});
   ++live_inodes_;
   std::unique_ptr<Dir>& d = dirs_.emplace_back();
@@ -62,7 +62,6 @@ InodeId Namespace::add(InodeId parent, const std::string& name, bool is_dir,
     ++live_dirs_;
     f.subdirs.emplace(name, ino);
   }
-  f.dentries.emplace(name, ino);
   f.dirty = true;
   return ino;
 }
