@@ -13,7 +13,7 @@ using namespace mantle;
 
 int main(int argc, char** argv) {
   const bool quick = bench::quick_mode(argc, argv);
-  const std::size_t files = quick ? 6000 : 25000;
+  const std::size_t files = quick ? 15000 : 25000;
   const std::vector<std::uint64_t> seeds = {5, 6, 7};
 
   std::printf("# Ablation: heartbeat staleness (original balancer, 3 MDS)\n");
