@@ -185,24 +185,10 @@ struct SeededStats {
   OnlineStats migrations;
 };
 
-inline SeededStats run_seeds(RunSpec spec, const std::vector<std::uint64_t>& seeds) {
-  SeededStats out;
-  for (const std::uint64_t seed : seeds) {
-    spec.seed = seed;
-    const RunResult r = run_scenario(spec);
-    out.runtime.add(r.makespan_s);
-    out.throughput.add(r.throughput);
-    out.forwards.add(static_cast<double>(r.forwards));
-    out.sessions.add(static_cast<double>(r.sessions_flushed));
-    out.migrations.add(static_cast<double>(r.migrations));
-  }
-  return out;
-}
-
 /// Parallel seed sweep: every scenario is self-contained (own engine,
 /// cluster, clients, RNG streams), so independent seeds run on worker
-/// threads. Results are accumulated in seed order, so the output is
-/// bit-identical to the serial run_seeds().
+/// threads. Results are accumulated in seed order, so the output does not
+/// depend on the thread count or on which worker ran which seed.
 inline SeededStats run_seeds_parallel(const RunSpec& spec,
                                       const std::vector<std::uint64_t>& seeds) {
   std::vector<RunResult> results(seeds.size());
