@@ -5,7 +5,8 @@
 /// cluster size, and prints the outcome.
 ///
 /// Usage:
-///   policy_runner [--mds N] [--clients N] [--files N] [--workload create|shared|compile]
+///   policy_runner [--mds N] [--clients N] [--files N]
+///                 [--workload create|shared|compile|maildir]
 ///                 [--policy greedy|greedy_even|fill_spill|adaptable|original]
 ///                 [--metaload FILE] [--mdsload FILE] [--when FILE]
 ///                 [--where FILE] [--howmuch FILE] [--seed N] [--validate-only]
@@ -20,7 +21,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "cluster/config_bridge.hpp"
 #include "core/mantle.hpp"
 #include "sim/scenario.hpp"
 #include "workloads/compile.hpp"
@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
   std::string workload = "shared";
   bool validate_only = false;
   core::MantlePolicy policy = core::scripts::greedy_spill();
-  mantle::Config overrides;  // --set key=value tunables (config_bridge)
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -80,11 +79,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown policy %s\n", name.c_str());
         return 1;
       }
-    } else if (arg == "--set") {
-      if (overrides.inject_args(next()) == 0) {
-        std::fprintf(stderr, "--set expects key=value\n");
-        return 1;
-      }
     } else if (arg == "--metaload") policy.metaload = slurp(next());
     else if (arg == "--mdsload") policy.mdsload = slurp(next());
     else if (arg == "--when") policy.when = slurp(next());
@@ -109,9 +103,6 @@ int main(int argc, char** argv) {
   cfg.cluster.seed = seed;
   cfg.cluster.bal_interval = kSec;
   cfg.cluster.split_size = 2500;
-  for (const std::string& k : cluster::unknown_config_keys(overrides))
-    std::fprintf(stderr, "warning: unknown --set key '%s'\n", k.c_str());
-  cfg.cluster = cluster::apply_config(cfg.cluster, overrides);
   sim::Scenario s(cfg);
   s.cluster().set_balancer_all(
       [&](int) { return std::make_unique<core::MantleBalancer>(policy); });

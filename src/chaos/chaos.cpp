@@ -8,7 +8,6 @@
 #include "balancers/builtin.hpp"
 #include "common/rng.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "sim/scenario.hpp"
 #include "workloads/compile.hpp"
 #include "workloads/create_heavy.hpp"
@@ -400,7 +399,8 @@ std::string ChaosResult::to_json() const {
   return out;
 }
 
-ChaosResult run_chaos(const ChaosConfig& cfg, obs::MetricsRegistry* metrics) {
+ChaosResult run_chaos(const ChaosConfig& cfg) {
+  constexpr int kMaxEvents = 5;  // events per schedule: uniform in [1, 5]
   ChaosResult res;
   if (cfg.scenarios.empty() || cfg.iters == 0) return res;
 
@@ -411,7 +411,7 @@ ChaosResult run_chaos(const ChaosConfig& cfg, obs::MetricsRegistry* metrics) {
     const ScenarioKind kind =
         cfg.scenarios[static_cast<std::size_t>(iter % cfg.scenarios.size())];
     const ChaosSchedule sched =
-        generate_schedule(sseed, kNumMds, cfg.max_events);
+        generate_schedule(sseed, kNumMds, kMaxEvents);
     const RunOutcome out = run_schedule(kind, sched, cfg.hb_stale_guard);
     ++res.schedules;
     res.checks += out.checks;
@@ -423,9 +423,8 @@ ChaosResult run_chaos(const ChaosConfig& cfg, obs::MetricsRegistry* metrics) {
     v.scenario = kind;
     v.seed = sseed;
     v.original_events = sched.events.size();
-    v.shrunk = cfg.shrink ? shrink_schedule(kind, sched, cfg.hb_stale_guard,
-                                            &res.shrink_runs)
-                          : sched;
+    v.shrunk = shrink_schedule(kind, sched, cfg.hb_stale_guard,
+                               &res.shrink_runs);
     // Re-run the minimal schedule so the reported violation describes the
     // reproducer, not the original composite.
     const RunOutcome min = run_schedule(kind, v.shrunk, cfg.hb_stale_guard);
@@ -437,23 +436,6 @@ ChaosResult run_chaos(const ChaosConfig& cfg, obs::MetricsRegistry* metrics) {
     res.violations.push_back(std::move(v));
   }
 
-  if (metrics != nullptr) {
-    metrics->counter("mantle_chaos_schedules_total",
-                     "chaos schedules executed")
-        .inc(res.schedules);
-    metrics->counter("mantle_chaos_faults_injected_total",
-                     "faults injected by chaos schedules")
-        .inc(res.faults_injected);
-    metrics->counter("mantle_chaos_checks_total",
-                     "invariant evaluations performed")
-        .inc(res.checks);
-    metrics->counter("mantle_chaos_violations_total",
-                     "invariant violations found")
-        .inc(res.violations.size());
-    metrics->counter("mantle_chaos_shrink_runs_total",
-                     "re-executions spent shrinking reproducers")
-        .inc(res.shrink_runs);
-  }
   return res;
 }
 

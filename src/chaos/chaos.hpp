@@ -25,10 +25,6 @@
 /// the same (seed, iters, scenarios) produce byte-identical reproducer
 /// corpora — same guarantee, same shape as src/safety/fuzz.
 
-namespace mantle::obs {
-class MetricsRegistry;
-}  // namespace mantle::obs
-
 namespace mantle::chaos {
 
 using mantle::mds::MdsRank;
@@ -80,16 +76,12 @@ struct ChaosConfig {
   std::vector<ScenarioKind> scenarios = {
       ScenarioKind::CreateHeavy, ScenarioKind::Compile,
       ScenarioKind::FaultRecovery};
-  /// Events per generated schedule: uniform in [1, max_events].
-  int max_events = 5;
   /// Satellite toggle: run with the stale-heartbeat guard disabled to
   /// reintroduce the seeded bug the shrinker must rediscover.
   bool hb_stale_guard = true;
   /// Stop after this many violations (each one is shrunk, which costs
   /// re-executions).
   std::size_t max_violations = 8;
-  /// Delta-debug violating schedules to minimal reproducers.
-  bool shrink = true;
 };
 
 /// One violating schedule, shrunk to a minimal reproducer.
@@ -149,9 +141,8 @@ ChaosSchedule shrink_schedule(ScenarioKind kind, const ChaosSchedule& schedule,
                               bool hb_stale_guard = true,
                               std::uint64_t* runs = nullptr);
 
-/// Run the full sweep. `metrics` (optional) receives the
-/// mantle_chaos_*_total counters.
-ChaosResult run_chaos(const ChaosConfig& cfg = {},
-                      obs::MetricsRegistry* metrics = nullptr);
+/// Run the full sweep: schedules of 1 to 5 events each, and every
+/// violating schedule delta-debugged to a minimal reproducer.
+ChaosResult run_chaos(const ChaosConfig& cfg = {});
 
 }  // namespace mantle::chaos

@@ -66,8 +66,8 @@ struct ClusterView {
   std::vector<HeartbeatPayload> mdss;  // index = rank; [whoami] is fresh
   std::vector<double> loads;           // result of the mdsload policy
   double total_load = 0.0;
-  /// Laggy-peer detection: ranks whose last heartbeat is older than
-  /// laggy_factor * bal_interval are marked dead-or-laggy (0). Their
+  /// Laggy-peer detection: ranks whose last heartbeat is older than three
+  /// balance intervals are marked dead-or-laggy (0). Their
   /// `loads` entry is zeroed, they are excluded from `total_load`, and the
   /// mechanism refuses to export toward them regardless of what the
   /// policy's where() says. Empty = everyone presumed alive (views built
@@ -148,8 +148,8 @@ class Balancer {
 
 /// A dirfrag selector: given candidates (sorted by descending load) and a
 /// target load, choose which to export. Returns indices into `candidates`.
-/// The four built-ins are the paper's big_first / small_first / big_small /
-/// half; custom selectors can be registered by name.
+/// The four selectors are the paper's big_first / small_first / big_small /
+/// half (also spelled "big" and "small"); any other name selects nothing.
 std::vector<std::size_t> run_selector(const std::string& name,
                                       const std::vector<ExportCandidate>& candidates,
                                       double target);

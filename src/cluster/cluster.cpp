@@ -171,7 +171,6 @@ MdsNode::MdsNode(MdsCluster& cluster, MdsRank rank, Rng rng)
   hb_.resize(static_cast<std::size_t>(cluster_.config().num_mds));
   for (std::size_t i = 0; i < hb_.size(); ++i)
     hb_[i].rank = static_cast<MdsRank>(i);
-  fresh_streak_.assign(hb_.size(), 0);
 }
 
 void MdsNode::on_arrival(Request r) {
@@ -234,15 +233,15 @@ void MdsNode::maybe_start() {
 
 Time MdsNode::service_time(OpType op) {
   const ClusterConfig& cfg = cluster_.config();
-  Time base = cfg.svc_getattr;
+  Time base = kSvcGetattr;
   switch (op) {
-    case OpType::Create: base = cfg.svc_create; break;
-    case OpType::Mkdir: base = cfg.svc_mkdir; break;
-    case OpType::Getattr: base = cfg.svc_getattr; break;
-    case OpType::Lookup: base = cfg.svc_lookup; break;
-    case OpType::Readdir: base = cfg.svc_readdir; break;
-    case OpType::Unlink: base = cfg.svc_unlink; break;
-    case OpType::Rename: base = cfg.svc_mkdir; break;  // link+unlink work
+    case OpType::Create: base = kSvcCreate; break;
+    case OpType::Mkdir: base = kSvcMkdir; break;
+    case OpType::Getattr: base = kSvcGetattr; break;
+    case OpType::Lookup: base = kSvcLookup; break;
+    case OpType::Readdir: base = kSvcReaddir; break;
+    case OpType::Unlink: base = kSvcUnlink; break;
+    case OpType::Rename: base = kSvcMkdir; break;  // link+unlink work
   }
   if (cfg.svc_jitter > 0.0) {
     const double f = 1.0 + cfg.svc_jitter * (2.0 * rng_.next_double() - 1.0);
@@ -305,10 +304,9 @@ void MdsNode::process_front() {
     cluster_.om_.forwards.inc();
     ++r.hops;
     forward_pop_.hit(cluster_.engine().now(), cluster_.ns().decay_rate());
-    const Time fwd = cluster_.config().svc_forward;
-    busy_in_window_ += fwd;
+    busy_in_window_ += kSvcForward;
     continuation_ = cluster_.engine().schedule_after(
-        fwd, [this, r = std::move(r), target]() mutable {
+        kSvcForward, [this, r = std::move(r), target]() mutable {
           // Re-resolve at send time; if the authority is down the request
           // parks on the dead-letter queue instead of vanishing into a dead
           // host, and is re-injected when the subtree recovers.
@@ -329,7 +327,7 @@ void MdsNode::process_front() {
     if (node != nullptr && node->parent != mantle::mds::kNoInode) {
       const DirFragId parent_frag = ns.frag_of(node->parent, node->name);
       if (cluster_.auth_of(parent_frag) != rank_) {
-        svc += cluster_.config().svc_remote_prefix;
+        svc += kSvcRemotePrefix;
         ++stats_.remote_prefix_ops;
       }
     }
@@ -341,8 +339,7 @@ void MdsNode::process_front() {
     if (dd != nullptr) {
       const DirFragId dst = ns.frag_of(r.dst_dir, r.dst_name);
       if (cluster_.auth_of(dst) != rank_)
-        svc += 2 * cluster_.config().net_latency +
-               cluster_.config().svc_remote_prefix;
+        svc += 2 * kNetLatency + kSvcRemotePrefix;
     }
   }
   // 2. Scatter-gather on mutations: a directory whose fragments span k
@@ -360,7 +357,7 @@ void MdsNode::process_front() {
       if (df.auth >= 0 && df.auth < 31) sharer_mask |= 1 << df.auth;
     const int sharers = std::popcount(static_cast<unsigned>(sharer_mask));
     if (sharers > 1)
-      svc += cluster_.config().svc_scatter_gather *
+      svc += kSvcScatterGather *
              static_cast<Time>((sharers - 1) * (sharers - 1));
   }
   busy_in_window_ += svc;
@@ -553,8 +550,11 @@ void MdsNode::tick() {
   hb_[static_cast<std::size_t>(rank_)] = me;
 
   // Heartbeats take time to pack, travel and unpack; peers see the past,
-  // and how far in the past varies per delivery. The network fault layer
-  // may drop a delivery, duplicate it, or stretch its delay further.
+  // and how far in the past varies per delivery: up to +/- kHbJitterFrac
+  // of hb_delay, one of the two daemon races behind Figure 4's
+  // run-to-run spread (schedule_tick has the other). The network fault
+  // layer may drop a delivery, duplicate it, or stretch its delay further.
+  constexpr double kHbJitterFrac = 0.5;
   NetworkFaults* nf = cluster_.network_faults();
   std::uint64_t sent = 0;
   std::uint64_t dropped = 0;
@@ -572,12 +572,9 @@ void MdsNode::tick() {
     }
     ++sent;
     for (int c = 0; c < copies; ++c) {
-      Time delay = cfg.hb_delay;
-      if (cfg.hb_jitter_frac > 0.0) {
-        const double f =
-            1.0 + cfg.hb_jitter_frac * (2.0 * rng_.next_double() - 1.0);
-        delay = static_cast<Time>(static_cast<double>(delay) * f);
-      }
+      const double f =
+          1.0 + kHbJitterFrac * (2.0 * rng_.next_double() - 1.0);
+      Time delay = static_cast<Time>(static_cast<double>(cfg.hb_delay) * f);
       if (nf != nullptr) delay += nf->extra_heartbeat_delay(rank_, p);
       cluster_.send_heartbeat(p, delay, me);
     }
@@ -598,25 +595,17 @@ void MdsNode::tick() {
     view.now = now;
     view.mdss = hb_;
     // Laggy-peer detection: a rank whose heartbeat is older than
-    // laggy_factor balance intervals is presumed dead. Its stale load is
+    // kLaggyFactor balance intervals is presumed dead. Its stale load is
     // dropped from the view so policies neither count it toward the
-    // cluster total nor pick it as an importer. Readmission applies
-    // hysteresis: a peer that went laggy must look fresh for
-    // laggy_readmit_ticks consecutive ticks before it is trusted again,
-    // so a flapping rank does not oscillate in and out of the view (each
-    // oscillation would re-aim exports at it).
+    // cluster total nor pick it as an importer. One fresh heartbeat
+    // readmits it.
+    constexpr double kLaggyFactor = 3.0;
+    const Time window = static_cast<Time>(
+        kLaggyFactor * static_cast<double>(cfg.bal_interval));
     view.alive.assign(hb_.size(), 1);
-    if (cfg.laggy_factor > 0.0) {
-      const Time window = static_cast<Time>(
-          cfg.laggy_factor * static_cast<double>(cfg.bal_interval));
-      const int need = std::max(cfg.laggy_readmit_ticks, 1);
-      for (std::size_t i = 0; i < hb_.size(); ++i) {
-        if (static_cast<MdsRank>(i) == rank_) continue;
-        const bool fresh = now - hb_[i].sent_at <= window;
-        fresh_streak_[i] = fresh ? fresh_streak_[i] + 1 : 0;
-        if (fresh_streak_[i] < need) view.alive[i] = 0;
-      }
-    }
+    for (std::size_t i = 0; i < hb_.size(); ++i)
+      if (static_cast<MdsRank>(i) != rank_ && now - hb_[i].sent_at > window)
+        view.alive[i] = 0;
     view.loads.resize(hb_.size());
     view.total_load = 0.0;
     for (std::size_t i = 0; i < hb_.size(); ++i) {
@@ -764,10 +753,13 @@ MdsCluster::MdsCluster(sim::Engine& engine, ClusterConfig cfg)
 }
 
 void MdsCluster::record_provenance(obs::DecisionRecord rec) {
-  // Digest the *full* input table before any truncation, so same-seed
-  // runs compare equal digests even when stored tables are elided.
+  // Above this many ranks the per-rank input tables (mdss/loads/alive)
+  // are elided from stored records. The digest is taken over the *full*
+  // table first, so same-seed runs still compare equal digests at 512
+  // ranks without each record costing O(ranks) memory.
+  constexpr std::size_t kProvenanceMaxRanks = 64;
   rec.digest = obs::input_digest(rec);
-  if (rec.mdss.size() > cfg_.provenance_max_ranks) {
+  if (rec.mdss.size() > kProvenanceMaxRanks) {
     rec.mdss.clear();
     rec.loads.clear();
     rec.alive.clear();
@@ -798,12 +790,14 @@ void MdsCluster::set_balancer_all(const BalancerFactory& factory) {
 }
 
 void MdsCluster::schedule_tick(MdsRank rank) {
-  // Daemons drift: each tick lands somewhere inside its jitter window, so
-  // the order in which balancers observe and react to each other differs
-  // run to run (seed-dependent), as on a real cluster.
-  Time when = cfg_.bal_interval + static_cast<Time>(rank) * kMsec;
-  if (cfg_.tick_jitter > 0)
-    when += rng_.uniform(0, static_cast<std::uint64_t>(cfg_.tick_jitter));
+  // Daemons are not synchronized: each tick lands up to kTickJitter after
+  // its nominal time, so the order in which balancers observe and react
+  // to each other differs run to run (seed-dependent), as on a real
+  // cluster. This race and the heartbeat delay jitter in MdsNode::tick
+  // feed the irreproducibility the paper documents in Figure 4.
+  constexpr Time kTickJitter = 500 * kMsec;
+  const Time when = cfg_.bal_interval + static_cast<Time>(rank) * kMsec +
+                    rng_.uniform(0, kTickJitter);
   engine_.schedule_after(when, [this, rank]() {
     // A down/replaying daemon skips the tick (no heartbeat, no balancing)
     // but the schedule keeps re-arming so it resumes after recovery.
@@ -834,7 +828,7 @@ void MdsCluster::start() {
 void MdsCluster::client_submit(Request r, MdsRank guess) {
   if (guess < 0 || guess >= num_mds()) guess = 0;
   engine_.schedule_after(
-      cfg_.net_latency, [this, guess, r = std::move(r)]() mutable {
+      kNetLatency, [this, guess, r = std::move(r)]() mutable {
         if (!is_up(guess)) {
           // Dead host: no reply; client retry recovers.
           om_.requests_dropped.inc();
@@ -848,7 +842,7 @@ void MdsCluster::client_submit_batch(MdsRank guess, std::vector<Request> batch) 
   if (batch.empty()) return;
   if (guess < 0 || guess >= num_mds()) guess = 0;
   engine_.schedule_after(
-      cfg_.net_latency, [this, guess, batch = std::move(batch)]() mutable {
+      kNetLatency, [this, guess, batch = std::move(batch)]() mutable {
         if (!is_up(guess)) {
           om_.requests_dropped.inc(batch.size());
           return;
@@ -860,7 +854,7 @@ void MdsCluster::client_submit_batch(MdsRank guess, std::vector<Request> batch) 
 
 void MdsCluster::route_to(MdsRank rank, Request r) {
   engine_.schedule_after(
-      cfg_.net_latency, [this, rank, r = std::move(r)]() mutable {
+      kNetLatency, [this, rank, r = std::move(r)]() mutable {
         if (!is_up(rank)) {
           om_.requests_dropped.inc();
           return;
@@ -989,7 +983,7 @@ bool MdsCluster::export_subtree(const DirFragId& frag, MdsRank to,
   om_.exports_started.inc();
 
   const Time duration =
-      cfg_.mig_base + cfg_.mig_per_entry * static_cast<Time>(entries);
+      cfg_.mig_base + kMigPerEntry * static_cast<Time>(entries);
   trace_.event(now, obs::EventKind::ExportStart, from, to, frag.str(),
                {{"entries", static_cast<double>(entries)},
                 {"eta_ms", static_cast<double>(duration) / kMsec}},
@@ -1121,8 +1115,8 @@ MdsRank MdsCluster::pick_up_rank(MdsRank avoid) const {
 }
 
 Time MdsCluster::replay_duration(MdsRank rank) const {
-  return cfg_.replay_base +
-         cfg_.replay_per_entry *
+  return kReplayBase +
+         kReplayPerEntry *
              static_cast<Time>(
                  journals_[static_cast<std::size_t>(rank)]->live_entries());
 }
@@ -1328,7 +1322,7 @@ bool MdsCluster::crash_mds(MdsRank rank) {
   // Survivor takeover: the lowest up rank replays the dead journal and
   // adopts its subtrees. Skipped when the rank restarts first (the replay
   // then happens on the restarting rank itself) or nobody survives.
-  if (cfg_.takeover_on_crash && !roots_of(rank).empty()) {
+  if (!roots_of(rank).empty()) {
     const MdsRank survivor = pick_up_rank(rank);
     if (is_up(survivor) && survivor != rank) {
       const Time replay = replay_duration(rank);
@@ -1472,7 +1466,7 @@ void MdsCluster::reparent_subtree(InodeId dir, MdsRank from, MdsRank to) {
 
 std::size_t MdsCluster::flush_client_sessions(MdsRank a, MdsRank b) {
   if (a < 0 || b < 0 || a >= num_mds() || b >= num_mds()) return 0;
-  const Time stall_until = engine_.now() + cfg_.session_flush_stall;
+  const Time stall_until = engine_.now() + kSessionFlushStall;
   // Union of the two ranks' session lists without materializing a set:
   // a generation stamp marks ids already counted in this flush.
   ++flush_gen_;
@@ -1498,7 +1492,7 @@ void MdsCluster::deliver_reply(Reply rep) {
   if (rep.finished_at >= rep.issued_at)
     om_.request_latency_ms.observe(
         static_cast<double>(rep.finished_at - rep.issued_at) / kMsec);
-  Time when = engine_.now() + cfg_.net_latency;
+  Time when = engine_.now() + kNetLatency;
   if (rep.client >= 0) {
     const auto id = static_cast<std::size_t>(rep.client);
     if (id < client_stall_until_.size() && client_stall_until_[id] > when)

@@ -38,44 +38,48 @@ using mantle::mds::InodeId;
 using mantle::mds::MdsRank;
 using mantle::mds::MetaOp;
 
+// -- service model (all times in simulated microseconds) -------------------
+// The calibrated cost model of DESIGN.md §4a. No configuration varies
+// these; ClusterConfig::svc_jitter and mig_base are the only costs a run
+// can set.
+inline constexpr Time kNetLatency = 100;  // one-way client<->MDS / MDS<->MDS hop
+inline constexpr Time kSvcCreate = 150;
+inline constexpr Time kSvcMkdir = 250;
+inline constexpr Time kSvcGetattr = 60;
+inline constexpr Time kSvcLookup = 60;
+inline constexpr Time kSvcReaddir = 400;
+inline constexpr Time kSvcUnlink = 120;
+inline constexpr Time kSvcForward = 30;  // cost of bouncing a misdirected request
+/// Extra per-request cost when the serving MDS is not the authority of
+/// the target's parent directory: it must resolve the path against
+/// replicated ancestor prefixes and keep them coherent. Part of the
+/// locality tax of §2.1 (fewer forwards, less coherency communication,
+/// less prefix-replica memory).
+inline constexpr Time kSvcRemotePrefix = 10;
+/// Per-mutation cost for each *additional* MDS sharing fragments of the
+/// target directory: updating fragstats/rstats on a directory whose
+/// dirfrags span k MDS nodes requires scatter-gather rounds with the
+/// other k-1 ("halting updates on a directory, sending stats around the
+/// cluster, and waiting for the authoritative MDS", §4.1 footnote).
+/// This is what makes spreading one hot directory progressively more
+/// expensive as more MDS nodes share it.
+inline constexpr Time kSvcScatterGather = 18;
+inline constexpr Time kMigPerEntry = 10;  // per exported dentry
+inline constexpr Time kSessionFlushStall = 10 * kMsec;  // per-client stall on session flush
+/// Journal replay cost on MDS takeover/restart: base handshake plus a
+/// per-live-entry charge (recovery time proportional to journal size).
+inline constexpr Time kReplayBase = 50 * kMsec;
+inline constexpr Time kReplayPerEntry = 200;
+
 struct ClusterConfig {
   int num_mds = 1;
   std::uint64_t seed = 1;
 
-  // -- service model (all times in simulated microseconds) -----------------
-  Time net_latency = 100;        // one-way client<->MDS / MDS<->MDS hop
-  Time svc_create = 150;
-  Time svc_mkdir = 250;
-  Time svc_getattr = 60;
-  Time svc_lookup = 60;
-  Time svc_readdir = 400;
-  Time svc_unlink = 120;
-  Time svc_forward = 30;         // cost of bouncing a misdirected request
-  /// Extra per-request cost when the serving MDS is not the authority of
-  /// the target's parent directory: it must resolve the path against
-  /// replicated ancestor prefixes and keep them coherent. Part of the
-  /// locality tax of §2.1 (fewer forwards, less coherency communication,
-  /// less prefix-replica memory).
-  Time svc_remote_prefix = 10;
-  /// Per-mutation cost for each *additional* MDS sharing fragments of the
-  /// target directory: updating fragstats/rstats on a directory whose
-  /// dirfrags span k MDS nodes requires scatter-gather rounds with the
-  /// other k-1 ("halting updates on a directory, sending stats around the
-  /// cluster, and waiting for the authoritative MDS", §4.1 footnote).
-  /// This is what makes spreading one hot directory progressively more
-  /// expensive as more MDS nodes share it.
-  Time svc_scatter_gather = 18;
   double svc_jitter = 0.08;      // +/- fraction on service times
 
   // -- balancing -------------------------------------------------------------
   Time bal_interval = 10 * kSec;   // heartbeat + rebalance period (CephFS: 10s)
   Time hb_delay = 250 * kMsec;     // pack + network + unpack => stale views
-  /// Daemons are not synchronized: each balancer tick lands up to this
-  /// much after its nominal time, and heartbeat delays vary by up to
-  /// +/- hb_jitter_frac. Both feed the run-to-run irreproducibility the
-  /// paper documents in Figure 4 (decisions race against stale state).
-  Time tick_jitter = 500 * kMsec;
-  double hb_jitter_frac = 0.5;
   double cpu_noise_pct = 4.0;      // stddev of instantaneous CPU measurement
   double bal_min_load = 0.01;      // below this an MDS is "idle"
   double need_min_factor = 1.0;    // target-load fudge (ablation: 0.8, §2.2.3)
@@ -89,23 +93,9 @@ struct ClusterConfig {
 
   // -- migration cost model ------------------------------------------------------
   Time mig_base = 20 * kMsec;       // 2PC journaling handshake floor
-  Time mig_per_entry = 10;          // per exported dentry
-  Time session_flush_stall = 10 * kMsec;  // per-client stall on session flush
   double mem_capacity_entries = 400000;  // entries mapping to 100% memory
 
   // -- fault tolerance -----------------------------------------------------------
-  /// A peer whose last heartbeat is older than laggy_factor * bal_interval
-  /// is treated as dead-or-laggy: zero load in the ClusterView, excluded
-  /// from total_load and from export targets. <= 0 disables detection.
-  double laggy_factor = 3.0;
-  /// Journal replay cost on MDS takeover/restart: base handshake plus a
-  /// per-live-entry charge (recovery time proportional to journal size).
-  Time replay_base = 50 * kMsec;
-  Time replay_per_entry = 200;
-  /// On a crash, survivors adopt the dead rank's auth subtrees after
-  /// replaying its journal. When false the subtrees stay with the dead
-  /// rank and only become serviceable once it restarts and replays.
-  bool takeover_on_crash = true;
   /// Reject heartbeats that would regress a peer's state: payloads whose
   /// epoch predates the sender's last crash (duplicated/delayed from a
   /// dead incarnation) or whose sent_at is older than what is already
@@ -125,13 +115,6 @@ struct ClusterConfig {
   /// is far above any simulated migration duration, so it only fires on
   /// genuinely wedged exports.
   int export_stuck_ticks = 30;
-  /// Readmission hysteresis for laggy peers: a rank that was excluded
-  /// from the ClusterView must look fresh for this many consecutive
-  /// balancer ticks before it is trusted as an export target again, so a
-  /// flapping peer does not oscillate in and out of the view. 1 =
-  /// readmit on the first fresh observation (the pre-hysteresis
-  /// behavior).
-  int laggy_readmit_ticks = 1;
 
   // -- observability -----------------------------------------------------------
   /// Bound on the cluster's trace sink. Overflowing events are counted in
@@ -142,11 +125,6 @@ struct ClusterConfig {
   /// tick per rank). Overflowing records are counted, not stored, with
   /// the same determinism argument as trace_capacity.
   std::size_t provenance_capacity = 4096;
-  /// Above this many ranks the per-rank input tables (mdss/loads/alive)
-  /// are elided from stored records — the input digest still covers the
-  /// full table, so cross-run comparisons keep working at 512 ranks
-  /// without each record costing O(ranks) memory.
-  std::size_t provenance_max_ranks = 64;
 };
 
 enum class OpType { Create, Mkdir, Getattr, Lookup, Readdir, Unlink, Rename };
@@ -413,9 +391,6 @@ class MdsNode {
     HeartbeatPayload hb;
   };
   std::vector<InboxEntry> inbox_;
-  /// Consecutive ticks each peer has looked fresh (non-laggy); a peer
-  /// must reach laggy_readmit_ticks before it is trusted again.
-  std::vector<int> fresh_streak_;
   std::unique_ptr<Balancer> balancer_;
   MdsStats stats_;
   mantle::DecayCounter forward_pop_;  // decayed load from misdirected reqs
@@ -452,7 +427,7 @@ class MdsCluster {
   const obs::ProvenanceRecorder& provenance() const { return provenance_; }
 
   /// Finalize and store one decision record: compute the input digest,
-  /// apply the provenance_max_ranks truncation, bump the provenance
+  /// apply the kProvenanceMaxRanks truncation, bump the provenance
   /// counters and mirror a `provenance-decision` event onto the
   /// record's tick span.
   void record_provenance(obs::DecisionRecord rec);
@@ -511,9 +486,9 @@ class MdsCluster {
 
   /// Kill an MDS: its queue and in-service request are lost, in-flight
   /// migrations it participates in abort (rollback + deferred-request
-  /// re-injection), and — with takeover_on_crash — the lowest surviving
-  /// rank replays its journal and adopts its auth subtrees. Returns false
-  /// if the rank was already down.
+  /// re-injection), and the lowest surviving rank replays its journal and
+  /// adopts its auth subtrees unless the rank restarts first. Returns
+  /// false if the rank was already down.
   bool crash_mds(MdsRank rank);
 
   /// Bring a crashed MDS back: it replays its own journal (time
@@ -590,7 +565,7 @@ class MdsCluster {
 
   /// Flush the client sessions attached to two ranks (metadata moved
   /// between them: migration commit or a cross-MDS "slave" rename). Each
-  /// affected client stalls for session_flush_stall. Returns the number
+  /// affected client stalls for kSessionFlushStall. Returns the number
   /// of sessions flushed.
   std::size_t flush_client_sessions(MdsRank a, MdsRank b);
 

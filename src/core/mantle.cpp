@@ -159,7 +159,6 @@ Value decode_state(const std::string& s) {
 MantleBalancer::MantleBalancer(MantlePolicy policy, Options opt)
     : policy_(std::move(policy)), opt_(opt), state_(0.0) {
   lua_.set_budget(opt_.budget);
-  lua_.seed_random(opt_.lua_seed);
   if (opt_.state_store != nullptr && !opt_.state_oid.empty()) {
     // Recover durable state left by a previous incarnation.
     std::string raw;

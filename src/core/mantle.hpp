@@ -41,8 +41,8 @@
 /// does and no separate `where` hook is set, those targets are used.
 ///
 /// MDSs[i]["alive"] is 1 for ranks heartbeating normally and 0 for ranks
-/// the laggy-peer detector has written off (heartbeat older than
-/// laggy_factor * bal_interval); dead ranks also show load 0 and are
+/// the laggy-peer detector has written off (heartbeat older than three
+/// balance intervals); dead ranks also show load 0 and are
 /// excluded from `total`. Policies may branch on it, but they do not have
 /// to: the mechanism refuses to export toward a dead rank regardless.
 ///
@@ -96,7 +96,6 @@ class MantleBalancer final : public cluster::Balancer {
 
   struct Options {
     std::uint64_t budget = 1 << 20;  // interpreter steps per hook call
-    std::uint64_t lua_seed = 0;      // for math.random in policies
     /// Optional durable backing for WRstate/RDstate. The paper kept the
     /// state in temporary files and lists "store them in RADOS objects"
     /// as future work; wiring an ObjectStore here does exactly that —

@@ -179,7 +179,10 @@ Report analyze(const std::vector<TraceEvent>& events, const AnalyzeConfig& cfg,
   std::vector<bool> saw_load(nranks, false);
 
   // Ping-pong: per subtree, the last completed direction and how many
-  // quick reversals it has accumulated.
+  // quick reversals it has accumulated. A reversal is a subtree
+  // re-exported back to its previous owner within kPingPongWindowTicks
+  // ticks of the export it undoes.
+  constexpr std::uint64_t kPingPongWindowTicks = 3;
   struct LastExport {
     int from = -1;
     int to = -1;
@@ -191,7 +194,9 @@ Report analyze(const std::vector<TraceEvent>& events, const AnalyzeConfig& cfg,
 
   // Thrash: per rank, the current run of go-with-zero-shipped ticks.
   // `when` go=1 arms the tick; the matching `where` (same span) with
-  // shipped_total <= eps extends the run, shipping anything resets it.
+  // shipped_total <= kThrashShippedEpsilon extends the run, shipping
+  // anything resets it.
+  constexpr double kThrashShippedEpsilon = 1e-9;
   std::vector<std::uint64_t> thrash_run(nranks, 0);
   std::vector<bool> thrash_reported(nranks, false);
   std::vector<SpanId> armed_span(nranks, kNoSpan);
@@ -262,9 +267,9 @@ Report analyze(const std::vector<TraceEvent>& events, const AnalyzeConfig& cfg,
             (ev.span >= 0 && ev.span != armed_span[r]))
           break;
         armed_span[r] = kNoSpan;
-        if (field(ev, "shipped_total") <= cfg.thrash_shipped_epsilon) {
+        if (field(ev, "shipped_total") <= kThrashShippedEpsilon) {
           ++thrash_run[r];
-          if (thrash_run[r] >= cfg.thrash_min_run && !thrash_reported[r]) {
+          if (thrash_run[r] >= kThrashMinRun && !thrash_reported[r]) {
             thrash_reported[r] = true;
             rep.anomalies.push_back(
                 {"thrash", ev.at, ev.span,
@@ -291,13 +296,13 @@ Report analyze(const std::vector<TraceEvent>& events, const AnalyzeConfig& cfg,
         // not it later commits — the churn cost is already paid. One
         // reversal is tolerated (load legitimately moves back after a
         // workload shift or crash); a subtree racking up
-        // ping_pong_min_reversals of them is being tossed around.
+        // kPingPongMinReversals of them is being tossed around.
         const auto it = last_export.find(ev.detail);
         if (it != last_export.end() && ev.rank == it->second.to &&
             ev.peer == it->second.from &&
-            tick - it->second.tick <= cfg.ping_pong_window_ticks) {
+            tick - it->second.tick <= kPingPongWindowTicks) {
           ++it->second.reversals;
-          if (it->second.reversals >= cfg.ping_pong_min_reversals &&
+          if (it->second.reversals >= kPingPongMinReversals &&
               !it->second.reported) {
             it->second.reported = true;
             rep.anomalies.push_back(
@@ -306,7 +311,7 @@ Report analyze(const std::vector<TraceEvent>& events, const AnalyzeConfig& cfg,
                      " and mds" + std::to_string(ev.rank) + " " +
                      std::to_string(it->second.reversals) +
                      " times, each within " +
-                     std::to_string(cfg.ping_pong_window_ticks) + " ticks"});
+                     std::to_string(kPingPongWindowTicks) + " ticks"});
           }
         }
         break;

@@ -37,13 +37,13 @@
 /// Anomaly detectors (each trips at most one distinct detector; the CLI
 /// exit code is the number of tripped detectors):
 ///  - ping-pong: the same subtree keeps being exported back to its
-///    previous owner — at least `ping_pong_min_reversals` reversals,
-///    each within `ping_pong_window_ticks` of the export it undoes
-///    (single reversals are tolerated: load legitimately moves back
-///    after a workload shift or a crash recovery);
-///  - thrash: a rank strings together `thrash_min_run` balancer ticks
+///    previous owner — at least kPingPongMinReversals reversals, each
+///    within 3 ticks of the export it undoes (single reversals are
+///    tolerated: load legitimately moves back after a workload shift or
+///    a crash recovery);
+///  - thrash: a rank strings together kThrashMinRun balancer ticks
 ///    that decide to migrate (`when` go=1) while shipping ~zero load
-///    (`where` shipped_total <= thrash_shipped_epsilon);
+///    (`where` shipped_total <= 1e-9);
 ///  - stuck-export: an export-start whose span never reaches a commit
 ///    or abort by the end of the trace;
 ///  - dead-letter-leak: more requests parked than flushed at the end of
@@ -51,21 +51,17 @@
 
 namespace mantle::obs {
 
-/// Thresholds for the anomaly detectors. Defaults are conservative: they
-/// hold on every healthy bench scenario, so a trip in CI is a real
-/// behaviour change.
+/// Detector thresholds. They are conservative: they hold on every
+/// healthy bench scenario, so a trip in CI is a real behaviour change.
+/// Ping-pong trips once one subtree racks up this many reversals (one
+/// finding per subtree, at the crossing event).
+inline constexpr std::uint64_t kPingPongMinReversals = 6;
+/// Thrash: this many consecutive go-ticks with ~zero shipped load trip.
+inline constexpr std::uint64_t kThrashMinRun = 5;
+
 struct AnalyzeConfig {
   /// Time-series bucket width (simulated time).
   Time tick = kSec;
-  /// Ping-pong: a reversal is a subtree re-exported back to its previous
-  /// owner within this many ticks of the export it undoes...
-  std::uint64_t ping_pong_window_ticks = 3;
-  /// ...and the detector trips once one subtree racks up this many
-  /// reversals (one finding per subtree, at the crossing event).
-  std::uint64_t ping_pong_min_reversals = 6;
-  /// Thrash: this many consecutive go-ticks with ~zero shipped load trip.
-  std::uint64_t thrash_min_run = 5;
-  double thrash_shipped_epsilon = 1e-9;
 };
 
 /// One time-series bucket.

@@ -62,7 +62,7 @@ struct DecisionRecord {
   std::vector<std::uint8_t> alive; ///< 1 = in view
   double total_load = 0.0;
   std::string digest;     ///< FNV-1a over the *untruncated* inputs
-  bool truncated = false; ///< per-rank tables elided (provenance_max_ranks)
+  bool truncated = false; ///< per-rank tables elided (above 64 ranks)
 
   // --- outputs ---
   bool go = false;                     ///< when() verdict (after min_load gate)

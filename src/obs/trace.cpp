@@ -30,8 +30,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::ReplayComplete: return "replay-complete";
     case EventKind::FaultInjected: return "fault-injected";
     case EventKind::PolicyRecompile: return "policy-recompile";
-    case EventKind::ShadowVerdict: return "shadow-verdict";
-    case EventKind::FuzzCrash: return "fuzz-crash";
     case EventKind::ExportRetry: return "export-retry";
     case EventKind::InvariantViolation: return "invariant-violation";
     case EventKind::ProvenanceRecorded: return "provenance-decision";

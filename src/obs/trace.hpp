@@ -52,8 +52,6 @@ enum class EventKind : int {
   ReplayComplete,
   FaultInjected,
   PolicyRecompile,
-  ShadowVerdict,  ///< shadow evaluation accepted/rejected a candidate policy
-  FuzzCrash,      ///< hook-input fuzzer found an invariant violation
   ExportRetry,             ///< aborted 2PC export re-attempted after backoff
   InvariantViolation,      ///< chaos invariant checker caught a violation
   ProvenanceRecorded,      ///< decision provenance record captured this tick

@@ -10,8 +10,6 @@
 #include "core/mantle.hpp"
 #include "lua/interp.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace mantle::safety {
 
@@ -669,13 +667,17 @@ CaseFailure run_lib_case(const std::string& script, std::uint64_t budget,
 
 }  // namespace
 
-FuzzResult run_fuzz(const FuzzConfig& cfg, obs::MetricsRegistry* metrics,
-                    obs::TraceSink* trace) {
+FuzzResult run_fuzz(const FuzzConfig& cfg) {
+  // Interpreter budget for non-starved runs. Deliberately smaller than a
+  // live balancer's: fuzz cases are tiny and a tight budget doubles as a
+  // termination check.
+  constexpr std::uint64_t kBudget = 1 << 16;
+  constexpr std::size_t kMaxFailures = 16;
   FuzzResult res;
   Rng rng(cfg.seed);
 
   for (std::uint64_t it = 0; it < cfg.iters; ++it) {
-    if (res.failures.size() >= cfg.max_failures) break;
+    if (res.failures.size() >= kMaxFailures) break;
     ++res.iterations;
     FuzzFailure fail;
     fail.iteration = it;
@@ -685,11 +687,11 @@ FuzzResult run_fuzz(const FuzzConfig& cfg, obs::MetricsRegistry* metrics,
         fail.level = "view";
         const ViewCase c = gen_view_case(rng);
         fail.subject = kSubjects[c.subject].name;
-        const CaseFailure f = run_view_case(c, cfg.budget, &res.checks);
+        const CaseFailure f = run_view_case(c, kBudget, &res.checks);
         if (f.invariant.empty()) continue;
         const ViewCase mini =
-            shrink_view(c, f.invariant, cfg.budget, &res.checks);
-        const CaseFailure mf = run_view_case(mini, cfg.budget, &res.checks);
+            shrink_view(c, f.invariant, kBudget, &res.checks);
+        const CaseFailure mf = run_view_case(mini, kBudget, &res.checks);
         fail.invariant = f.invariant;
         fail.detail = mf.detail.empty() ? f.detail : mf.detail;
         fail.reproducer = view_repro(mini, f);
@@ -699,11 +701,11 @@ FuzzResult run_fuzz(const FuzzConfig& cfg, obs::MetricsRegistry* metrics,
         fail.level = "env";
         const EnvCase c = gen_env_case(rng);
         fail.subject = policy_name(c.policy);
-        const CaseFailure f = run_env_case(c, cfg.budget, &res.checks);
+        const CaseFailure f = run_env_case(c, kBudget, &res.checks);
         if (f.invariant.empty()) continue;
         const EnvCase mini =
-            shrink_env(c, f.invariant, cfg.budget, &res.checks);
-        const CaseFailure mf = run_env_case(mini, cfg.budget, &res.checks);
+            shrink_env(c, f.invariant, kBudget, &res.checks);
+        const CaseFailure mf = run_env_case(mini, kBudget, &res.checks);
         fail.invariant = f.invariant;
         fail.detail = mf.detail.empty() ? f.detail : mf.detail;
         fail.reproducer = env_repro(mini, f);
@@ -713,7 +715,7 @@ FuzzResult run_fuzz(const FuzzConfig& cfg, obs::MetricsRegistry* metrics,
         fail.level = "stdlib";
         const std::string script = build_lib_script(rng);
         fail.subject = "luam-stdlib";
-        const CaseFailure f = run_lib_case(script, cfg.budget, &res.checks);
+        const CaseFailure f = run_lib_case(script, kBudget, &res.checks);
         if (f.invariant.empty()) continue;
         fail.invariant = f.invariant;
         fail.detail = f.detail;
@@ -724,20 +726,6 @@ FuzzResult run_fuzz(const FuzzConfig& cfg, obs::MetricsRegistry* metrics,
     res.failures.push_back(std::move(fail));
   }
 
-  if (metrics != nullptr) {
-    metrics
-        ->counter("mantle_fuzz_iterations_total", "fuzz cases executed")
-        .inc(res.iterations);
-    metrics
-        ->counter("mantle_fuzz_crashes_total",
-                  "fuzz invariant violations found")
-        .inc(res.failures.size());
-  }
-  if (trace != nullptr)
-    for (const FuzzFailure& f : res.failures)
-      trace->event(f.iteration, obs::EventKind::FuzzCrash, -1, -1,
-                   f.level + ":" + f.invariant,
-                   {{"iteration", static_cast<double>(f.iteration)}});
   return res;
 }
 

@@ -36,23 +36,11 @@
 /// same cases, the same failures and byte-identical reproducer corpora.
 /// Failing cases are shrunk to minimal reproducers before being reported.
 
-namespace mantle::obs {
-class MetricsRegistry;
-class TraceSink;
-}  // namespace mantle::obs
-
 namespace mantle::safety {
 
 struct FuzzConfig {
   std::uint64_t seed = 1;
   std::uint64_t iters = 10000;
-  /// Interpreter budget for non-starved runs. Deliberately smaller than a
-  /// live balancer's: fuzz cases are tiny and a tight budget doubles as a
-  /// termination check.
-  std::uint64_t budget = 1 << 16;
-  /// Stop after this many distinct failures (each is shrunk, which costs
-  /// re-executions; a broken build would otherwise take forever).
-  std::size_t max_failures = 16;
 };
 
 /// One invariant violation, shrunk to a minimal reproducer.
@@ -81,11 +69,9 @@ struct FuzzResult {
   std::string to_json() const;
 };
 
-/// Run the fuzzer. `metrics` (optional) receives
-/// mantle_fuzz_{iterations,crashes}_total; `trace` (optional) gets one
-/// FuzzCrash event per failure.
-FuzzResult run_fuzz(const FuzzConfig& cfg = {},
-                    obs::MetricsRegistry* metrics = nullptr,
-                    obs::TraceSink* trace = nullptr);
+/// Run the fuzzer. It stops early after 16 distinct failures: each is
+/// shrunk, which costs re-executions, and a broken build would otherwise
+/// take forever.
+FuzzResult run_fuzz(const FuzzConfig& cfg = {});
 
 }  // namespace mantle::safety

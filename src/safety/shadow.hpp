@@ -34,12 +34,8 @@
 /// chunk, exactly what the ping-pong detector keys on, while small
 /// organic counter-flows ship fresh chunks and do not trip it). The
 /// synthetic timeline then runs through the obs/analyze
-/// detectors; any trip, or hook errors / budget exhaustions above
-/// threshold, rejects the candidate.
-
-namespace mantle::obs {
-class MetricsRegistry;
-}  // namespace mantle::obs
+/// detectors; any trip, any budget exhaustion, or hook errors above 5%
+/// of hook calls rejects the candidate.
 
 namespace mantle::safety {
 
@@ -47,23 +43,7 @@ struct ShadowConfig {
   /// Interpreter budget per hook call in the sandbox (same default as a
   /// live MantleBalancer).
   std::uint64_t budget = 1 << 20;
-  std::uint64_t lua_seed = 0;
-  /// Reject when hook errors exceed this fraction of hook calls.
-  /// Non-zero tolerance: a policy guarding MDSs[whoami+1] on the last
-  /// rank of a *recorded* cluster layout it never saw may take a few
-  /// counted sanitizations without being dangerous.
-  double max_hook_error_rate = 0.05;
-  /// Budget exhaustions are never tolerated: one means the policy has an
-  /// input-dependent unbounded loop that validate_policy's synthetic
-  /// view did not reach.
-  std::uint64_t max_budget_exhaustions = 0;
-  /// `need_min` scaling applied to targets when sizing shadow exports,
-  /// mirroring ClusterConfig::need_min_factor's default.
-  double need_min_factor = 0.8;
-  /// Ignore shadow export goals at or below this load (mirrors
-  /// ClusterConfig::bal_min_load's spirit; keeps noise exports out).
-  double min_export_load = 1e-9;
-  /// Detector thresholds for the synthetic timeline.
+  /// Time-series settings for analyzing the synthetic timeline.
   obs::AnalyzeConfig analyze;
 };
 
@@ -88,25 +68,13 @@ struct ShadowVerdict {
   std::string to_table() const;
 };
 
-/// Replay `recorded` against `policy`. `metrics` (optional) receives
-/// mantle_shadow_{evaluations,rejections}_total; `verdict_trace`
-/// (optional) gets one ShadowVerdict event stamped at the end of the
-/// replayed timeline. Deterministic: same events + same policy + same
-/// config => byte-identical verdict JSON.
+/// Replay `recorded` against `policy`. Run core::validate_policy first:
+/// it rejects syntax errors and unconditional loops before any replay.
+/// Deterministic: same events + same policy + same config =>
+/// byte-identical verdict JSON.
 ShadowVerdict shadow_evaluate(const std::vector<obs::TraceEvent>& recorded,
                               const core::MantlePolicy& policy,
-                              const ShadowConfig& cfg = {},
-                              obs::MetricsRegistry* metrics = nullptr,
-                              obs::TraceSink* verdict_trace = nullptr);
-
-/// The injection gate: validate (syntax + budgeted dry run) and then
-/// shadow-evaluate. Returns "" when the policy may be injected, or a
-/// description of why it must not be.
-std::string gate_injection(const std::vector<obs::TraceEvent>& recorded,
-                           const core::MantlePolicy& policy,
-                           const ShadowConfig& cfg = {},
-                           obs::MetricsRegistry* metrics = nullptr,
-                           obs::TraceSink* verdict_trace = nullptr);
+                              const ShadowConfig& cfg = {});
 
 /// Load a Mantle policy from a named builtin ("original", "greedy",
 /// "greedy_even", "fill_spill", "adaptable") or from a policy file:

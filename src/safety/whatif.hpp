@@ -22,8 +22,9 @@
 /// budgeted MantleBalancer per recorded rank, so policies with per-rank
 /// state — e.g. Fill & Spill's consecutive-overload counter — evolve it
 /// in recorded decision order). Records whose per-rank input tables were
-/// truncated at capture time (ClusterConfig::provenance_max_ranks) are
-/// counted and skipped: their inputs cannot be reconstructed.
+/// truncated at capture time (clusters above 64 ranks; see
+/// MdsCluster::record_provenance) are counted and skipped: their inputs
+/// cannot be reconstructed.
 ///
 /// Determinism contract: pure function of (records, policy, budget);
 /// to_json() serializes with name-ordered keys and

@@ -117,12 +117,6 @@ void Client::submit(Request r, MdsRank guess) {
 
 void Client::arm_timeout() {
   timer_ = cluster_.engine().schedule_after(backoff_, [this]() {
-    if (retry_.max_attempts > 0 && attempt_ >= retry_.max_attempts) {
-      // Out of attempts: report failure so the workload can move on.
-      waiting_ = false;
-      finish_op(false, pending_.issued_at);
-      return;
-    }
     // Resubmit under a fresh request id toward a rank believed up — the
     // old id keeps any late reply from the first attempt recognizable as
     // a stale duplicate. Standing in for the client re-reading the MDSMap.

@@ -18,7 +18,8 @@ namespace mantle::sim {
 
 /// Client-side fault tolerance: when an MDS dies holding a request, the
 /// reply never comes. With a timeout set, the client resubmits toward a
-/// surviving rank with capped exponential backoff. Semantics are
+/// surviving rank with capped exponential backoff until a reply
+/// resolves the op. Semantics are
 /// at-least-once: a retried mutation may have been applied by a previous
 /// attempt, so a "failed" (e.g. already-exists) reply to a retry still
 /// counts the op as completed. Disabled by default (timeout = 0) so
@@ -26,7 +27,6 @@ namespace mantle::sim {
 struct RetryPolicy {
   Time timeout = 0;               // 0 disables retries entirely
   Time max_backoff = 8 * kSec;    // backoff doubles per retry up to this
-  int max_attempts = 0;           // 0 = retry forever
 };
 
 class Client {

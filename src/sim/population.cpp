@@ -24,7 +24,7 @@ ClientPopulation::ClientPopulation(int id, cluster::MdsCluster& cluster,
     : id_(id), cluster_(cluster), cfg_(std::move(cfg)), rng_(rng),
       // As with Client, the reservoir's eviction stream is independent of
       // rng_ so sampling never perturbs the arrival event sequence.
-      latencies_(cfg_.latency_reservoir,
+      latencies_(mantle::ReservoirSample::kDefaultCapacity,
                  0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(id) + 1)),
       m_arrivals_(cluster.metrics().counter(
           "pop_arrivals_total", "simulated population request arrivals")),
@@ -46,14 +46,11 @@ ClientPopulation::ClientPopulation(int id, cluster::MdsCluster& cluster,
       m_latency_(cluster.metrics().histogram(
           "pop_request_latency_ms", obs::buckets::latency_ms(),
           "sampled population request latency")) {
-  weight_ = cfg_.weight;
-  if (weight_ == 0) {
-    const double modeled_rate = static_cast<double>(cfg_.modeled_clients) *
-                                cfg_.ops_per_client;
-    const double per_sim = cfg_.sim_rate > 0 ? modeled_rate / cfg_.sim_rate : 1;
-    weight_ = static_cast<std::uint64_t>(std::ceil(per_sim));
-  }
-  if (weight_ == 0) weight_ = 1;
+  const double modeled_rate = static_cast<double>(cfg_.modeled_clients) *
+                              cfg_.ops_per_client;
+  const double per_sim = cfg_.sim_rate > 0 ? modeled_rate / cfg_.sim_rate : 1;
+  weight_ = std::max<std::uint64_t>(
+      static_cast<std::uint64_t>(std::ceil(per_sim)), 1);
 
   const std::size_t nslots =
       std::min<std::size_t>(std::max<std::size_t>(cfg_.max_outstanding, 1),
@@ -66,16 +63,8 @@ ClientPopulation::ClientPopulation(int id, cluster::MdsCluster& cluster,
 
   if (cfg_.dirs.empty()) cfg_.dirs = {"/pop" + std::to_string(id_)};
   flows_.resize(cfg_.dirs.size());
-  double cum = 0;
-  for (std::size_t i = 0; i < cfg_.dirs.size(); ++i) {
+  for (std::size_t i = 0; i < cfg_.dirs.size(); ++i)
     flows_[i].path = cfg_.dirs[i];
-    const double w = i < cfg_.dir_weights.size() && cfg_.dir_weights[i] > 0
-                         ? cfg_.dir_weights[i]
-                         : 1.0;
-    cum += w;
-    flows_[i].cum_weight = cum;
-  }
-  total_flow_weight_ = cum;
 }
 
 void ClientPopulation::bootstrap_dirs() {
@@ -150,10 +139,11 @@ MdsRank ClientPopulation::guess_for(const DirFragId& frag) {
 
 Request ClientPopulation::make_request(std::uint32_t slot_idx) {
   Slot& s = slots_[slot_idx];
-  // Pick the flow by cumulative weight.
-  const double x = rng_.next_double() * total_flow_weight_;
-  std::size_t di = 0;
-  while (di + 1 < flows_.size() && flows_[di].cum_weight <= x) ++di;
+  // Pick a flow uniformly.
+  const std::size_t di = std::min(
+      static_cast<std::size_t>(rng_.next_double() *
+                               static_cast<double>(flows_.size())),
+      flows_.size() - 1);
   Flow& f = flows_[di];
 
   // Op mix: creates grow the flow's dentry universe; reads sample it.
@@ -239,10 +229,6 @@ void ClientPopulation::arm_timeout(std::uint32_t slot_idx) {
   armed.timer = cluster_.engine().schedule_after(armed.backoff,
                                                  [this, slot_idx]() {
     Slot& s = slots_[slot_idx];
-    if (cfg_.retry.max_attempts > 0 && s.attempt >= cfg_.retry.max_attempts) {
-      resolve(slot_idx, false);
-      return;
-    }
     // Resubmit under a fresh id toward a rank believed up; the gen bump
     // makes any late reply to the old id identify itself as stale.
     ++retries_;
@@ -307,7 +293,9 @@ void ClientPopulation::on_reply(const Reply& rep) {
   if (rep.hops > 0) m_forwards_.inc(static_cast<std::uint64_t>(rep.hops));
 
   // Learn: shift the belief window on an authority change, and track the
-  // forward-free fraction as the modeled cache hit rate.
+  // forward-free fraction as the modeled cache hit rate, an EMA with step
+  // kHitAlpha.
+  constexpr double kHitAlpha = 0.05;
   if (rep.dir != kNoInode) {
     FragBelief& b = beliefs_[{rep.dir, rep.frag}];
     if (b.auth != rep.served_by) {
@@ -315,7 +303,7 @@ void ClientPopulation::on_reply(const Reply& rep) {
       b.auth = rep.served_by;
     }
     const double hit = rep.hops == 0 ? 1.0 : 0.0;
-    b.hit_ema += cfg_.hit_alpha * (hit - b.hit_ema);
+    b.hit_ema += kHitAlpha * (hit - b.hit_ema);
   }
 
   // At-least-once, as in Client: a retried mutation refused as a

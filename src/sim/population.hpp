@@ -13,7 +13,7 @@
 /// clients (up to ~1M) hammering a set of directories. Instead of one
 /// closed loop per client — which caps simulations at a few thousand
 /// clients — the population issues sampled request arrivals per dirfrag
-/// flow, where each simulated request represents `weight` modeled ops.
+/// flow, where each simulated request represents weight() modeled ops.
 /// Simulated requests travel the real cluster path (network latency,
 /// forwards on stale caches, session-flush stalls, retries after crashes),
 /// so balancer-visible load, forward rates and latency tails behave like a
@@ -23,7 +23,7 @@
 namespace mantle::sim {
 
 struct PopulationConfig {
-  /// How many clients this flow stands for (reporting + default weight).
+  /// How many clients this flow stands for (reporting + weight).
   std::uint64_t modeled_clients = 10000;
   /// Modeled per-client op rate (ops/sec); modeled aggregate arrival rate
   /// is modeled_clients * ops_per_client.
@@ -32,9 +32,6 @@ struct PopulationConfig {
   /// sampling rate. This — not modeled_clients — is what the event queue
   /// pays for.
   double sim_rate = 2000.0;
-  /// Modeled ops represented by each simulated request. 0 derives
-  /// ceil(modeled_clients * ops_per_client / sim_rate), floored at 1.
-  std::uint64_t weight = 0;
 
   Time tick = 50 * kMsec;       ///< arrival-batch granularity
   Time duration = 30 * kSec;    ///< arrival-generation window
@@ -46,21 +43,16 @@ struct PopulationConfig {
   /// split evenly between Getattr and Lookup on already-created names
   /// (a flow's first ops create regardless, so reads have targets).
   double create_frac = 0.5;
-  /// EMA step for the learned per-dirfrag auth-cache hit model.
-  double hit_alpha = 0.05;
 
   /// Same semantics as Client: 0 timeout disables retries. Without
   /// retries a request dropped by a dead rank leaks its slot until the
   /// scenario horizon, so faulty runs should enable this.
   RetryPolicy retry;
 
-  /// Directory flows. Paths are bootstrap-created directly in the
-  /// namespace at start() (admin setup, no heat). Empty = {"/pop<id>"}.
+  /// Directory flows, equally popular. Paths are bootstrap-created
+  /// directly in the namespace at start() (admin setup, no heat).
+  /// Empty = {"/pop<id>"}.
   std::vector<std::string> dirs;
-  /// Relative flow popularity (same length as dirs); empty = uniform.
-  std::vector<double> dir_weights;
-
-  std::size_t latency_reservoir = mantle::ReservoirSample::kDefaultCapacity;
 };
 
 /// The aggregate itself. Shares Scenario's dense client-id space with
@@ -86,7 +78,8 @@ class ClientPopulation {
   Time started_at() const { return started_at_; }
   Time finished_at() const { return finished_at_; }
 
-  /// Modeled ops per simulated request (resolved from the config).
+  /// Modeled ops per simulated request:
+  /// ceil(modeled_clients * ops_per_client / sim_rate), at least 1.
   std::uint64_t weight() const { return weight_; }
 
   std::uint64_t arrivals() const { return arrivals_; }
@@ -141,7 +134,6 @@ class ClientPopulation {
   struct Flow {
     std::string path;
     mds::InodeId ino = mds::kNoInode;
-    double cum_weight = 0;          ///< cumulative, for sampled dir choice
     std::uint64_t created = 0;      ///< dentries this flow has created
   };
 
@@ -163,7 +155,6 @@ class ClientPopulation {
   std::uint64_t weight_ = 1;
 
   std::vector<Flow> flows_;
-  double total_flow_weight_ = 0;
   std::map<mds::DirFragId, FragBelief> beliefs_;
 
   std::vector<Slot> slots_;

@@ -74,6 +74,7 @@ Time Scenario::run() {
     engine_.schedule_after(p.interval, Rearm{this, &p});
 
   running_ = true;
+  constexpr Time kSlice = kSec;  // completion-check granularity
   while (sim_now() < cfg_.max_time) {
     const bool all_done = [&] {
       for (const auto& c : clients_)
@@ -83,7 +84,7 @@ Time Scenario::run() {
       return true;
     }();
     if (all_done) break;
-    engine_.run_until(sim_now() + cfg_.slice);
+    engine_.run_until(sim_now() + kSlice);
     if (engine_.empty()) break;  // deadlock guard; should not happen
   }
   running_ = false;

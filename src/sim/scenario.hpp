@@ -21,7 +21,6 @@ namespace mantle::sim {
 struct ScenarioConfig {
   cluster::ClusterConfig cluster;
   Time max_time = 60 * mantle::kMinute;  // safety horizon
-  Time slice = mantle::kSec;             // completion-check granularity
   RetryPolicy retry;                     // client fault tolerance (off by default)
 };
 

@@ -25,15 +25,16 @@ using mantle::Rng;
 using mantle::Time;
 
 /// Latency model for object operations: fixed base cost plus a per-byte
-/// cost plus optional lognormal-ish jitter. All parameters in microseconds.
+/// cost, with +/- kJitterFrac uniform jitter when an rng is given. All
+/// costs in microseconds.
 struct LatencyModel {
-  Time read_base = 150;    // ~150us: journal/omap read on SSD
-  Time write_base = 400;   // ~400us: replicated write ack
-  double per_byte = 0.002; // 2ns/byte ~ 500 MB/s effective
-  double jitter_frac = 0.10;
+  static constexpr Time kReadBase = 150;     // ~150us: journal/omap read on SSD
+  static constexpr Time kWriteBase = 400;    // ~400us: replicated write ack
+  static constexpr double kPerByte = 0.002;  // 2ns/byte ~ 500 MB/s effective
+  static constexpr double kJitterFrac = 0.10;
 
-  Time read_cost(std::size_t bytes, Rng* rng) const;
-  Time write_cost(std::size_t bytes, Rng* rng) const;
+  static Time read_cost(std::size_t bytes, Rng* rng);
+  static Time write_cost(std::size_t bytes, Rng* rng);
 };
 
 struct Object {
@@ -67,8 +68,7 @@ struct OpResult {
 class ObjectStore {
  public:
   /// rng may be null for a deterministic, jitter-free store.
-  explicit ObjectStore(LatencyModel model = {}, Rng* rng = nullptr)
-      : model_(model), rng_(rng) {}
+  explicit ObjectStore(Rng* rng = nullptr) : rng_(rng) {}
 
   OpResult write_full(const std::string& oid, std::string data);
   OpResult append(const std::string& oid, const std::string& data);
@@ -110,7 +110,6 @@ class ObjectStore {
     return false;
   }
 
-  LatencyModel model_;
   Rng* rng_;
   std::map<std::string, Object> objects_;
   StoreStats stats_;

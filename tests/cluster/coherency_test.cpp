@@ -90,9 +90,8 @@ TEST(Coherency, ScatterGatherCostScalesWithSharers) {
   EXPECT_GT(t2, t1);
   EXPECT_GT(t3, t2);
   // Quadratic growth: the 3-sharer penalty is 4x the 2-sharer one.
-  ClusterConfig ref;
-  EXPECT_EQ(t2 - t1, ref.svc_scatter_gather);
-  EXPECT_EQ(t3 - t1, 4 * ref.svc_scatter_gather);
+  EXPECT_EQ(t2 - t1, kSvcScatterGather);
+  EXPECT_EQ(t3 - t1, 4 * kSvcScatterGather);
 }
 
 TEST(Coherency, ReadsDoNotPayScatterGather) {

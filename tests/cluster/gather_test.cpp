@@ -708,7 +708,7 @@ TEST(CandidateCache, ExportChangesOnlyFrozenStatusUntilCommit) {
     for (const MigrationRecord& m : a.cluster.active_migration_records())
       first_commit = std::min(
           first_commit, m.started + cfg.mig_base +
-                            cfg.mig_per_entry * static_cast<Time>(m.entries));
+                            kMigPerEntry * static_cast<Time>(m.entries));
     a.advance_to(first_commit - 1);
     b.advance_to(first_commit - 1);
     Observed pre_a = observe(a.cluster, frags);

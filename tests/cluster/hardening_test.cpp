@@ -8,7 +8,7 @@
 
 /// Graceful-degradation hardening: the stale-epoch heartbeat guard, the
 /// bounded export retry with exponential backoff, the stuck-export
-/// watchdog and laggy-peer readmission hysteresis. Each test drives the
+/// watchdog and laggy-peer eviction and readmission. Each test drives the
 /// cluster directly (no scenario harness) so the failure modes are
 /// constructed exactly, not hoped for.
 
@@ -224,7 +224,7 @@ TEST(Hardening, StuckExportAbortedByWatchdog) {
 }
 
 // ---------------------------------------------------------------------------
-// Laggy-peer readmission hysteresis.
+// Laggy-peer eviction and readmission.
 // ---------------------------------------------------------------------------
 
 /// Captures the ClusterView each balance tick; orders no migrations.
@@ -244,19 +244,16 @@ struct CaptureBalancer final : Balancer {
   std::vector<std::string> howmuch() const override { return {}; }
 };
 
-TEST(Hardening, LaggyPeerReadmittedOnlyAfterFreshStreak) {
+TEST(Hardening, DefaultReadmitIsImmediate) {
+  // A peer silent past three balance intervals drops out of the view,
+  // and one fresh heartbeat readmits it on the next tick.
   ClusterConfig cfg;
-  cfg.bal_interval = 100 * kMsec;
-  cfg.laggy_factor = 3.0;  // laggy past 300 ms of silence
-  cfg.laggy_readmit_ticks = 2;
+  cfg.bal_interval = 100 * kMsec;  // laggy past 300 ms of silence
   cfg.bal_min_load = 0.0;  // ensure when() (and thus capture) runs each tick
   Harness h(2, cfg);
   std::vector<ClusterView> views;
   h.cluster.set_balancer(0, std::make_unique<CaptureBalancer>(&views));
 
-  // A fresh tick feeds node 0 a just-sent heartbeat from rank 1; a stale
-  // tick instead lets sim time run past the laggy window so the last
-  // heartbeat ages out.
   auto tick_fresh = [&] {
     h.cluster.node(0).on_heartbeat(make_hb(1, 0, h.engine.now()),
                                    h.engine.now());
@@ -264,45 +261,18 @@ TEST(Hardening, LaggyPeerReadmittedOnlyAfterFreshStreak) {
     h.engine.run();  // drain the tick's own heartbeat sends
     return views.back().alive[1] != 0;
   };
-  auto tick_stale = [&] {
-    h.engine.schedule_after(400 * kMsec, [] {});
-    h.engine.run();
-    h.cluster.node(0).tick();
-    h.engine.run();
-    return views.back().alive[1] != 0;
-  };
-
-  // Two consecutive fresh ticks are needed before the peer is trusted.
-  EXPECT_FALSE(tick_fresh());
   EXPECT_TRUE(tick_fresh());
 
-  // One stale tick evicts it and resets the streak...
-  EXPECT_FALSE(tick_stale());
-  // ...so one fresh heartbeat is NOT enough to come back (hysteresis):
-  EXPECT_FALSE(tick_fresh());
-  EXPECT_TRUE(tick_fresh());
-
-  // An evicted peer contributes zero load to the view.
-  ASSERT_GE(views.size(), 3u);
-  EXPECT_EQ(views[2].loads[1], 0.0);
-}
-
-TEST(Hardening, DefaultReadmitIsImmediate) {
-  // laggy_readmit_ticks = 1 preserves the pre-hysteresis behavior: one
-  // fresh heartbeat readmits the peer on the next tick.
-  ClusterConfig cfg;
-  cfg.bal_interval = 100 * kMsec;
-  cfg.laggy_factor = 3.0;
-  cfg.bal_min_load = 0.0;
-  Harness h(2, cfg);
-  std::vector<ClusterView> views;
-  h.cluster.set_balancer(0, std::make_unique<CaptureBalancer>(&views));
-
-  h.cluster.node(0).on_heartbeat(make_hb(1, 0, h.engine.now()),
-                                 h.engine.now());
+  // Let the last heartbeat age out: the peer is evicted and contributes
+  // zero load to the view.
+  h.engine.schedule_after(400 * kMsec, [] {});
+  h.engine.run();
   h.cluster.node(0).tick();
   h.engine.run();
-  EXPECT_NE(views.back().alive[1], 0);
+  EXPECT_EQ(views.back().alive[1], 0);
+  EXPECT_EQ(views.back().loads[1], 0.0);
+
+  EXPECT_TRUE(tick_fresh());
 }
 
 }  // namespace

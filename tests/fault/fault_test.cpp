@@ -94,7 +94,7 @@ TEST(Fault, CrashDropsQueuedRequestsAndLogsIt) {
   // Pile up requests, then kill the rank before the engine runs them.
   for (int i = 0; i < 5; ++i)
     h.submit(OpType::Create, mk.result_ino, "f" + std::to_string(i));
-  h.engine.run_until(h.engine.now() + h.cluster.config().net_latency + 1);
+  h.engine.run_until(h.engine.now() + cluster::kNetLatency + 1);
   const std::size_t before = h.replies.size();
   h.cluster.crash_mds(0);
   h.engine.run();
@@ -108,13 +108,11 @@ TEST(Fault, CrashDropsQueuedRequestsAndLogsIt) {
 
 TEST(Fault, RestartReplayTimeGrowsWithJournal) {
   // Journal length enters the replay duration linearly. Journals hold
-  // migration events, not client ops, so seed entries directly.
+  // migration events, not client ops, so seed entries directly. The
+  // restart lands before the survivor's takeover replay, which then
+  // stands down.
   auto replay_time = [](std::size_t entries) {
-    Harness h(2, [] {
-      ClusterConfig cfg;
-      cfg.takeover_on_crash = false;
-      return cfg;
-    }());
+    Harness h(2);
     for (std::size_t i = 0; i < entries; ++i)
       h.cluster.journal(0).append("EExport frag " + std::to_string(i));
     h.cluster.crash_mds(0);
@@ -128,10 +126,9 @@ TEST(Fault, RestartReplayTimeGrowsWithJournal) {
     return done.at - t0;
   };
 
-  Harness probe(1);
-  const ClusterConfig& cfg = probe.cluster.config();
-  EXPECT_EQ(replay_time(0), cfg.replay_base);
-  EXPECT_EQ(replay_time(40), cfg.replay_base + 40 * cfg.replay_per_entry);
+  EXPECT_EQ(replay_time(0), cluster::kReplayBase);
+  EXPECT_EQ(replay_time(40),
+            cluster::kReplayBase + 40 * cluster::kReplayPerEntry);
   EXPECT_GT(replay_time(40), replay_time(5));
 }
 
@@ -155,11 +152,7 @@ TEST(Fault, TakeoverMovesSubtreesToSurvivor) {
 }
 
 TEST(Fault, RestartBeforeTakeoverKeepsSubtrees) {
-  Harness h(3, [] {
-    ClusterConfig cfg;
-    cfg.takeover_on_crash = false;  // survivors leave the subtree alone
-    return cfg;
-  }());
+  Harness h(3);
   const Reply mk = h.do_op(OpType::Mkdir, h.cluster.ns().root(), "proj");
   const InodeId proj = mk.result_ino;
   const DirFragId frag{proj, frag_t()};
@@ -167,10 +160,12 @@ TEST(Fault, RestartBeforeTakeoverKeepsSubtrees) {
   h.engine.run();
 
   h.cluster.crash_mds(1);
-  // A request for the dead subtree parks instead of vanishing.
+  // A request for the dead subtree parks instead of vanishing. Stop well
+  // before the survivor's takeover replay (at least kReplayBase) lands.
   h.submit(OpType::Create, proj, "x", 0);
-  h.engine.run();
-  EXPECT_EQ(h.cluster.auth_of(frag), 1) << "no takeover configured";
+  h.engine.run_until(h.engine.now() + cluster::kReplayBase / 5);
+  EXPECT_EQ(h.cluster.dead_letter_size(), 1u);
+  EXPECT_EQ(h.cluster.auth_of(frag), 1) << "takeover still replaying";
 
   const std::size_t before = h.replies.size();
   h.cluster.restart_mds(1);
@@ -191,7 +186,7 @@ TEST(Fault, MigrationAbortsWhenImporterDies) {
 
   // Requests arriving mid-migration are deferred on the frozen subtree.
   h.submit(OpType::Create, proj, "during", 0);
-  h.engine.run_until(h.engine.now() + h.cluster.config().net_latency * 3);
+  h.engine.run_until(h.engine.now() + cluster::kNetLatency * 3);
   ASSERT_TRUE(h.cluster.is_frozen(frag));
 
   h.cluster.crash_mds(1);  // importer dies mid-2PC

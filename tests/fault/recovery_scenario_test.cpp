@@ -46,7 +46,6 @@ RunResult run_scenario(const ScenarioOpts& o) {
   cfg.cluster.seed = o.seed;
   cfg.cluster.bal_interval = kSec;  // balance often: migrations mid-run
   cfg.cluster.split_size = 300;
-  cfg.cluster.laggy_factor = 3.0;
   cfg.retry.timeout = 2 * kSec;     // clients survive the dead rank
   cfg.max_time = 10 * kMinute;
   sim::Scenario s(cfg);

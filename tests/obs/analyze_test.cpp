@@ -43,13 +43,13 @@ TEST(Detectors, PingPongTripsOnSustainedBouncing) {
   AnalyzeConfig cfg;
   cfg.tick = kSec;
   // One subtree bouncing 0<->1 every 100 ms: commit then immediate
-  // re-export back, ping_pong_min_reversals times over.
+  // re-export back, kPingPongMinReversals times over.
   std::vector<TraceEvent> evs;
   Time t = 0;
   int from = 0;
   int to = 1;
   SpanId span = 1;
-  for (std::uint64_t i = 0; i <= cfg.ping_pong_min_reversals; ++i) {
+  for (std::uint64_t i = 0; i <= kPingPongMinReversals; ++i) {
     evs.push_back(make(t, EventKind::ExportStart, from, to, "1.0x00000000/0",
                        {{"entries", 10.0}}, span));
     evs.push_back(make(t + 50 * kMsec, EventKind::ExportCommit, from, to,
@@ -82,7 +82,7 @@ TEST(Detectors, ThrashTripsOnGoTicksShippingNothing) {
   AnalyzeConfig cfg;
   // Rank 0 decides to migrate every tick but the where hook ships zero.
   std::vector<TraceEvent> evs;
-  for (std::uint64_t i = 0; i < cfg.thrash_min_run; ++i) {
+  for (std::uint64_t i = 0; i < kThrashMinRun; ++i) {
     const Time t = i * cfg.tick;
     const SpanId span = static_cast<SpanId>(i + 1);
     evs.push_back(make(t, EventKind::WhenDecision, 0, -1, "",

@@ -71,7 +71,6 @@ ObsDump run_faulty(std::uint64_t seed) {
   cfg.cluster.seed = seed;
   cfg.cluster.bal_interval = kSec;
   cfg.cluster.split_size = 300;
-  cfg.cluster.laggy_factor = 3.0;
   cfg.retry.timeout = 2 * kSec;
   cfg.max_time = 3 * kMinute;
   sim::Scenario s(cfg);

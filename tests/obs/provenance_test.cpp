@@ -158,7 +158,6 @@ ProvDump run_scenario(std::uint64_t seed, bool faulty,
   cfg.max_time = 2 * kMinute;
   std::unique_ptr<fault::FaultInjector> inj;
   if (faulty) {
-    cfg.cluster.laggy_factor = 3.0;
     cfg.retry.timeout = 2 * kSec;
     cfg.max_time = 3 * kMinute;
   }

@@ -7,8 +7,6 @@
 
 #include "balancers/builtin.hpp"
 #include "cluster/balancer.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace mantle::safety {
 namespace {
@@ -49,17 +47,6 @@ TEST(FuzzTest, DifferentSeedsDiverge) {
   // Same case count, different cases: the checks tally is input-shaped
   // (e.g. how many ranks each view carries), so a seed change moves it.
   EXPECT_NE(run_fuzz(a).checks, run_fuzz(b).checks);
-}
-
-TEST(FuzzTest, MetricsCounted) {
-  obs::MetricsRegistry metrics;
-  FuzzConfig cfg;
-  cfg.seed = 7;
-  cfg.iters = 120;
-  const FuzzResult r = run_fuzz(cfg, &metrics);
-  EXPECT_EQ(metrics.counter("mantle_fuzz_iterations_total").value(), 120u);
-  EXPECT_EQ(metrics.counter("mantle_fuzz_crashes_total").value(),
-            r.failures.size());
 }
 
 // Regression: fuzzing found (seed 1, level "view") that summing many

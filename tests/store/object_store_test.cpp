@@ -98,8 +98,7 @@ TEST(LatencyModel, DeterministicWithoutRng) {
 }
 
 TEST(LatencyModel, JitterStaysBounded) {
-  LatencyModel m;
-  m.jitter_frac = 0.10;
+  const LatencyModel m;
   Rng rng(42);
   const Time base = m.read_cost(1024, nullptr);
   for (int i = 0; i < 200; ++i) {

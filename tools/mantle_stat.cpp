@@ -169,7 +169,6 @@ mantle::obs::Report run_inline(const std::string& name, std::uint64_t seed,
   cfg.max_time = 2 * kMinute;
   std::unique_ptr<mantle::fault::FaultInjector> inj;
   if (name == "faulty") {
-    cfg.cluster.laggy_factor = 3.0;
     cfg.retry.timeout = 2 * kSec;
     cfg.max_time = 3 * kMinute;
   }
