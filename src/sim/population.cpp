@@ -146,20 +146,19 @@ Request ClientPopulation::make_request(std::uint32_t slot_idx) {
       flows_.size() - 1);
   Flow& f = flows_[di];
 
-  // Op mix: creates grow the flow's dentry universe; reads sample it.
-  // The first ops of a flow create regardless so reads have targets.
+  // Op mix: creates grow the flow's dentry universe; reads sample the
+  // names whose create completed. A flow with none creates regardless,
+  // so reads have targets.
   const double r = rng_.next_double();
-  if (f.created == 0 || r < cfg_.create_frac) {
+  if (f.completed.empty() || r < cfg_.create_frac) {
     s.op = OpType::Create;
-    s.name = "p" + std::to_string(id_) + "_" + std::to_string(di) + "_" +
-             std::to_string(f.created);
-    ++f.created;
+    s.index = f.created++;
   } else {
     s.op = rng_.next_double() < 0.5 ? OpType::Getattr : OpType::Lookup;
-    const std::uint64_t pick = rng_.uniform(0, f.created - 1);
-    s.name = "p" + std::to_string(id_) + "_" + std::to_string(di) + "_" +
-             std::to_string(pick);
+    s.index = f.completed[rng_.uniform(0, f.completed.size() - 1)];
   }
+  s.name = "p" + std::to_string(id_) + "_" + std::to_string(di) + "_" +
+           std::to_string(s.index);
   s.dir = di;
 
   Request req;
@@ -262,6 +261,7 @@ void ClientPopulation::resolve(std::uint32_t slot_idx, bool ok) {
     ++sim_completed_;
     m_completed_.inc();
     m_modeled_.inc(weight_);
+    if (s.op == OpType::Create) flows_[s.dir].completed.push_back(s.index);
   } else {
     ++sim_failed_;
     m_failed_.inc();

@@ -40,8 +40,9 @@ struct PopulationConfig {
   std::size_t max_outstanding = 8192;
 
   /// Op mix: fraction of arrivals that create a fresh dentry; the rest
-  /// split evenly between Getattr and Lookup on already-created names
-  /// (a flow's first ops create regardless, so reads have targets).
+  /// split evenly between Getattr and Lookup on names whose create has
+  /// completed (a flow with none creates regardless, so reads have
+  /// targets).
   double create_frac = 0.5;
 
   /// Same semantics as Client: 0 timeout disables retries. Without
@@ -128,13 +129,17 @@ class ClientPopulation {
     mds::MdsRank last_guess = 0;
     std::size_t dir = 0;
     cluster::OpType op = cluster::OpType::Getattr;
+    std::uint64_t index = 0;  ///< the flow's name index
     std::string name;
   };
 
   struct Flow {
     std::string path;
     mds::InodeId ino = mds::kNoInode;
-    std::uint64_t created = 0;      ///< dentries this flow has created
+    std::uint64_t created = 0;      ///< creates this flow has issued
+    /// Name indices whose create completed: the only names a read may
+    /// target, so a read never overtakes the create of its name.
+    std::vector<std::uint64_t> completed;
   };
 
   void bootstrap_dirs();

@@ -114,6 +114,43 @@ TEST(ClientPopulation, SeesForwardsAcrossMigrations) {
   EXPECT_GT(p.forwards_seen(), 0u);
 }
 
+// A read targets only a name whose create has completed. The flow's
+// directory lives on rank 1 while every cold guess goes to rank 0, and
+// the learned guesses then split between the two: a create sent to rank
+// 0 takes a forward hop, so a read of the same name sent to rank 1 in
+// the same tick would overtake it and fail. The runs have no faults, so
+// no op may fail.
+TEST(ClientPopulation, ReadsOnlyNamesWhoseCreateCompleted) {
+  std::uint64_t forwards = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t failed = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    ScenarioConfig cfg;
+    cfg.cluster.num_mds = 2;
+    cfg.cluster.seed = seed;
+    cfg.max_time = 30 * kSec;
+    Scenario s(cfg);
+    mds::Namespace& ns = s.cluster().ns();
+    const mds::DirFragId frag{ns.mkdir(ns.root(), "popA", 0), mds::frag_t()};
+    ASSERT_TRUE(s.cluster().export_subtree(frag, 1));
+    s.engine().run();  // the migration commits
+    ASSERT_EQ(s.cluster().auth_of(frag), 1);
+
+    PopulationConfig pc = small_pop();
+    pc.create_frac = 0.2;
+    pc.dirs = {"/popA"};
+    const ClientPopulation& p = s.population(s.add_population(pc));
+    s.run();
+    EXPECT_TRUE(p.done());
+    forwards += p.forwards_seen();
+    completed += p.sim_ops_completed();
+    failed += p.sim_ops_failed();
+  }
+  EXPECT_GT(forwards, 0u);
+  EXPECT_GT(completed, 5000u);
+  EXPECT_EQ(failed, 0u);
+}
+
 // A rank crash mid-window loses the requests it holds and drops those
 // sent to it. With a 1 s timeout the population resubmits each one to a
 // surviving rank, and every request still resolves exactly once.
