@@ -22,6 +22,11 @@ namespace {
 constexpr double kQNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
 
+/// Interpreter budget for non-starved runs. Deliberately smaller than a
+/// live balancer's: fuzz cases are tiny and a tight budget doubles as a
+/// termination check.
+constexpr std::uint64_t kBudget = 1 << 16;
+
 std::string num_sig(double d) {
   if (std::isnan(d)) return "nan";
   if (std::isinf(d)) return d > 0 ? "inf" : "-inf";
@@ -176,11 +181,11 @@ struct CaseFailure {
 
 /// Run the case once through a fresh subject; returns the decision
 /// signature via `sig` and the first invariant violation (or empty).
-CaseFailure run_view_once(const ViewCase& c, std::uint64_t budget,
-                          std::string* sig, std::uint64_t* checks) {
+CaseFailure run_view_once(const ViewCase& c, std::string* sig,
+                          std::uint64_t* checks) {
   const bool mantle = kSubjects[c.subject].is_mantle;
   std::unique_ptr<Balancer> b =
-      make_subject(c.subject, c.starve ? 64 : budget);
+      make_subject(c.subject, c.starve ? 64 : kBudget);
   try {
     ClusterView view;
     view.whoami = c.whoami;
@@ -234,12 +239,11 @@ CaseFailure run_view_once(const ViewCase& c, std::uint64_t budget,
   return {};
 }
 
-CaseFailure run_view_case(const ViewCase& c, std::uint64_t budget,
-                          std::uint64_t* checks) {
+CaseFailure run_view_case(const ViewCase& c, std::uint64_t* checks) {
   std::string sig_a, sig_b;
-  CaseFailure f = run_view_once(c, budget, &sig_a, checks);
+  CaseFailure f = run_view_once(c, &sig_a, checks);
   if (!f.invariant.empty()) return f;
-  f = run_view_once(c, budget, &sig_b, checks);
+  f = run_view_once(c, &sig_b, checks);
   if (!f.invariant.empty()) return f;
   ++*checks;
   if (sig_a != sig_b)
@@ -274,9 +278,9 @@ std::string view_repro(const ViewCase& c, const CaseFailure& f) {
 /// Shrink: walk every hostile knob back to benign, keep reductions that
 /// still fail (on the *same* invariant, so we don't chase a moving bug).
 ViewCase shrink_view(ViewCase c, const std::string& invariant,
-                     std::uint64_t budget, std::uint64_t* checks) {
+                     std::uint64_t* checks) {
   const auto still_fails = [&](const ViewCase& cand) {
-    return run_view_case(cand, budget, checks).invariant == invariant;
+    return run_view_case(cand, checks).invariant == invariant;
   };
   for (int pass = 0; pass < 2; ++pass) {
     // Drop trailing ranks.
@@ -489,9 +493,9 @@ lua::TablePtr bind_env(lua::Interp& in, const EnvCase& c) {
 }
 
 std::string run_env_once(const EnvCase& c, const lua::CompiledChunk& chunk,
-                         std::uint64_t budget, CaseFailure* fail) {
+                         CaseFailure* fail) {
   lua::Interp in;
-  in.set_budget(c.starve ? 64 : budget);
+  in.set_budget(c.starve ? 64 : kBudget);
   lua::TablePtr mdss;
   std::string sig;
   try {
@@ -523,18 +527,17 @@ lua::CompiledChunk compile_hook(std::string src, int hook) {
   return ch;
 }
 
-CaseFailure run_env_case(const EnvCase& c, std::uint64_t budget,
-                         std::uint64_t* checks) {
+CaseFailure run_env_case(const EnvCase& c, std::uint64_t* checks) {
   int hook = c.hook;
   const core::MantlePolicy p = policy_scripts(c.policy);
   const std::string src = hook_source(p, &hook);
   const lua::CompiledChunk chunk = compile_hook(src, hook);
 
   CaseFailure f;
-  const std::string sig_a = run_env_once(c, chunk, budget, &f);
+  const std::string sig_a = run_env_once(c, chunk, &f);
   ++*checks;
   if (!f.invariant.empty()) return f;
-  const std::string sig_b = run_env_once(c, chunk, budget, &f);
+  const std::string sig_b = run_env_once(c, chunk, &f);
   ++*checks;
   if (!f.invariant.empty()) return f;
   ++*checks;
@@ -566,9 +569,9 @@ std::string env_repro(const EnvCase& c, const CaseFailure& f) {
 }
 
 EnvCase shrink_env(EnvCase c, const std::string& invariant,
-                   std::uint64_t budget, std::uint64_t* checks) {
+                   std::uint64_t* checks) {
   const auto still_fails = [&](const EnvCase& cand) {
-    return run_env_case(cand, budget, checks).invariant == invariant;
+    return run_env_case(cand, checks).invariant == invariant;
   };
   for (int m = 0; m < kNumEnvMutations; ++m) {
     if (!(c.muts & (1u << m))) continue;
@@ -642,15 +645,14 @@ std::string build_lib_script(Rng& rng) {
   return s;
 }
 
-CaseFailure run_lib_case(const std::string& script, std::uint64_t budget,
-                         std::uint64_t* checks) {
+CaseFailure run_lib_case(const std::string& script, std::uint64_t* checks) {
   const lua::CompiledChunk chunk = lua::compile(script, "fuzz");
   std::string sigs[2];
   for (std::string& sig : sigs) {
     ++*checks;
     try {
       lua::Interp in;
-      in.set_budget(budget);
+      in.set_budget(kBudget);
       const lua::RunResult r = in.run(chunk);
       sig = r.ok ? "ok:" + value_sig(r.first()) : "err:" + r.error;
     } catch (const std::exception& e) {
@@ -668,10 +670,6 @@ CaseFailure run_lib_case(const std::string& script, std::uint64_t budget,
 }  // namespace
 
 FuzzResult run_fuzz(const FuzzConfig& cfg) {
-  // Interpreter budget for non-starved runs. Deliberately smaller than a
-  // live balancer's: fuzz cases are tiny and a tight budget doubles as a
-  // termination check.
-  constexpr std::uint64_t kBudget = 1 << 16;
   constexpr std::size_t kMaxFailures = 16;
   FuzzResult res;
   Rng rng(cfg.seed);
@@ -687,11 +685,11 @@ FuzzResult run_fuzz(const FuzzConfig& cfg) {
         fail.level = "view";
         const ViewCase c = gen_view_case(rng);
         fail.subject = kSubjects[c.subject].name;
-        const CaseFailure f = run_view_case(c, kBudget, &res.checks);
+        const CaseFailure f = run_view_case(c, &res.checks);
         if (f.invariant.empty()) continue;
         const ViewCase mini =
-            shrink_view(c, f.invariant, kBudget, &res.checks);
-        const CaseFailure mf = run_view_case(mini, kBudget, &res.checks);
+            shrink_view(c, f.invariant, &res.checks);
+        const CaseFailure mf = run_view_case(mini, &res.checks);
         fail.invariant = f.invariant;
         fail.detail = mf.detail.empty() ? f.detail : mf.detail;
         fail.reproducer = view_repro(mini, f);
@@ -701,11 +699,11 @@ FuzzResult run_fuzz(const FuzzConfig& cfg) {
         fail.level = "env";
         const EnvCase c = gen_env_case(rng);
         fail.subject = policy_name(c.policy);
-        const CaseFailure f = run_env_case(c, kBudget, &res.checks);
+        const CaseFailure f = run_env_case(c, &res.checks);
         if (f.invariant.empty()) continue;
         const EnvCase mini =
-            shrink_env(c, f.invariant, kBudget, &res.checks);
-        const CaseFailure mf = run_env_case(mini, kBudget, &res.checks);
+            shrink_env(c, f.invariant, &res.checks);
+        const CaseFailure mf = run_env_case(mini, &res.checks);
         fail.invariant = f.invariant;
         fail.detail = mf.detail.empty() ? f.detail : mf.detail;
         fail.reproducer = env_repro(mini, f);
@@ -715,7 +713,7 @@ FuzzResult run_fuzz(const FuzzConfig& cfg) {
         fail.level = "stdlib";
         const std::string script = build_lib_script(rng);
         fail.subject = "luam-stdlib";
-        const CaseFailure f = run_lib_case(script, kBudget, &res.checks);
+        const CaseFailure f = run_lib_case(script, &res.checks);
         if (f.invariant.empty()) continue;
         fail.invariant = f.invariant;
         fail.detail = f.detail;
