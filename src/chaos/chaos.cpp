@@ -29,18 +29,14 @@ constexpr int kNumMds = 3;
 
 /// Deterministic window-based injector. Unlike fault::FaultInjector this
 /// draws no randomness at injection time: every decision is a pure
-/// function of (schedule, simulated clock, object id), so dropping one
-/// event from the schedule leaves every other fault byte-for-byte in
-/// place — the property the shrinker relies on.
+/// function of (schedule, simulated clock), so dropping one event from
+/// the schedule leaves every other fault byte-for-byte in place — the
+/// property the shrinker relies on.
 class ChaosInjector final : public cluster::NetworkFaults {
  public:
   ChaosInjector(ChaosSchedule schedule, cluster::MdsCluster& cluster)
       : sched_(std::move(schedule)), cluster_(cluster) {
     cluster.set_network_faults(this);
-    cluster.object_store().set_fault_hook(
-        [this](store::StoreOp, const std::string& oid) {
-          return store_faulted(oid);
-        });
     for (const ChaosEvent& e : sched_.events) {
       if (e.kind == FaultKind::Crash) {
         cluster.engine().schedule_at(e.at, [this, r = e.rank]() {
@@ -91,24 +87,6 @@ class ChaosInjector final : public cluster::NetworkFaults {
       if (e.kind == kind && e.rank == rank && e.at <= now && now < e.until)
         return true;
     return false;
-  }
-
-  bool store_faulted(const std::string& oid) {
-    if (!armed_) return false;
-    const Time now = cluster_.engine().now();
-    bool active = false;
-    for (const ChaosEvent& e : sched_.events)
-      if (e.kind == FaultKind::StoreFault && e.at <= now && now < e.until)
-        active = true;
-    if (!active) return false;
-    // Stable per-oid decision (~25% of ids fail while the window is open):
-    // deterministic, and a bounded window guarantees later flushes of the
-    // same object eventually succeed.
-    const std::uint64_t h =
-        SplitMix64(sched_.seed ^ mds::hash_dentry_name(oid)).next();
-    if ((h & 3) != 0) return false;
-    ++injected_;
-    return true;
   }
 
   ChaosSchedule sched_;
@@ -177,19 +155,15 @@ const char* fault_kind_name(FaultKind kind) {
     case FaultKind::HbDrop: return "hb-drop";
     case FaultKind::HbDup: return "hb-dup";
     case FaultKind::HbDelay: return "hb-delay";
-    case FaultKind::StoreFault: return "store-fault";
   }
   return "?";
 }
 
 std::string ChaosEvent::str() const {
   char buf[160];
-  int n = std::snprintf(buf, sizeof(buf), "%s", fault_kind_name(kind));
-  if (rank != mds::kNoRank)
-    n += std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
-                       " rank=%d", rank);
-  n += std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
-                     " at_us=%llu", static_cast<unsigned long long>(at));
+  int n = std::snprintf(buf, sizeof(buf), "%s rank=%d at_us=%llu",
+                        fault_kind_name(kind), rank,
+                        static_cast<unsigned long long>(at));
   if (until != 0)
     n += std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
                        " until_us=%llu", static_cast<unsigned long long>(until));
@@ -243,7 +217,7 @@ ChaosSchedule generate_schedule(std::uint64_t seed, int num_mds,
                                               std::max(1, max_events) - 1)));
   for (int i = 0; i < n; ++i) {
     ChaosEvent e;
-    e.kind = static_cast<FaultKind>(rng.uniform(0, 5));
+    e.kind = static_cast<FaultKind>(rng.uniform(0, 4));
     e.rank = static_cast<MdsRank>(
         rng.uniform(0, static_cast<std::uint64_t>(num_mds - 1)));
     e.at = rng.uniform(kEventFrom, kEventTo);
@@ -258,10 +232,6 @@ ChaosSchedule generate_schedule(std::uint64_t seed, int num_mds,
       case FaultKind::HbDelay:
         e.until = e.at + rng.uniform(kWindowMin, kWindowMax);
         e.delay = rng.uniform(kDelayMin, kDelayMax);
-        break;
-      case FaultKind::StoreFault:
-        e.rank = mds::kNoRank;
-        e.until = e.at + rng.uniform(kWindowMin, kWindowMax);
         break;
     }
     s.events.push_back(e);

@@ -11,15 +11,14 @@
 /// \file chaos.hpp
 /// Deterministic chaos engine: generates randomized fault schedules —
 /// seeded crashes and restarts, heartbeat drop/duplicate/delay windows,
-/// object-store fault windows, freely composed and time-jittered — runs
-/// each against a real scenario (create-heavy, compile, fault-recovery)
-/// with the cluster-wide InvariantChecker polling every balancer tick,
-/// and delta-debugs any violating schedule down to a minimal reproducer.
+/// freely composed and time-jittered — runs each against a real scenario
+/// (create-heavy, compile, fault-recovery) with the cluster-wide
+/// InvariantChecker polling every balancer tick, and delta-debugs any
+/// violating schedule down to a minimal reproducer.
 ///
 /// Determinism is the load-bearing property. A schedule is pure data:
 /// injection consults the event windows against the simulated clock and
-/// draws *no* randomness of its own (store-fault decisions hash the
-/// object id against the schedule seed), so removing one event from a
+/// draws *no* randomness of its own, so removing one event from a
 /// schedule leaves every other fault exactly in place. That is what makes
 /// greedy event-removal shrinking faithful, and what makes two runs of
 /// the same (seed, iters, scenarios) produce byte-identical reproducer
@@ -30,19 +29,18 @@ namespace mantle::chaos {
 using mantle::mds::MdsRank;
 
 enum class FaultKind : int {
-  Crash = 0,   ///< kill an MDS at `at`
-  Restart,     ///< bring an MDS back at `at` (no-op if it is not down)
-  HbDrop,      ///< drop the rank's outgoing heartbeats in [at, until)
-  HbDup,       ///< duplicate them in [at, until)
-  HbDelay,     ///< add `delay` to them in [at, until)
-  StoreFault,  ///< fail a deterministic subset of store ops in [at, until)
+  Crash = 0,  ///< kill an MDS at `at`
+  Restart,    ///< bring an MDS back at `at` (no-op if it is not down)
+  HbDrop,     ///< drop the rank's outgoing heartbeats in [at, until)
+  HbDup,      ///< duplicate them in [at, until)
+  HbDelay,    ///< add `delay` to them in [at, until)
 };
 
 const char* fault_kind_name(FaultKind kind);
 
 struct ChaosEvent {
   FaultKind kind = FaultKind::Crash;
-  MdsRank rank = 0;  ///< target rank; kNoRank for StoreFault
+  MdsRank rank = 0;  ///< target rank
   Time at = 0;       ///< instant (Crash/Restart) or window start
   Time until = 0;    ///< window end; 0 for instant kinds
   Time delay = 0;    ///< HbDelay only: extra latency
@@ -55,7 +53,7 @@ struct ChaosEvent {
 };
 
 struct ChaosSchedule {
-  std::uint64_t seed = 0;  ///< seeds the simulation *and* store-fault hashing
+  std::uint64_t seed = 0;  ///< seeds the simulation
   std::vector<ChaosEvent> events;
 
   /// Canonical one-line rendering: events joined with "; ".

@@ -741,11 +741,9 @@ MdsCluster::MdsCluster(sim::Engine& engine, ClusterConfig cfg)
   life_.resize(static_cast<std::size_t>(cfg_.num_mds), NodeLife::Up);
   crash_epoch_.resize(static_cast<std::size_t>(cfg_.num_mds), 0);
   recovery_span_.resize(static_cast<std::size_t>(cfg_.num_mds), obs::kNoSpan);
-  for (int r = 0; r < cfg_.num_mds; ++r) {
+  journals_.resize(static_cast<std::size_t>(cfg_.num_mds));
+  for (int r = 0; r < cfg_.num_mds; ++r)
     nodes_.push_back(std::make_unique<MdsNode>(*this, r, rng_.fork()));
-    journals_.push_back(std::make_unique<store::Journal>(
-        store_, "mds" + std::to_string(r) + ".journal"));
-  }
   // Rank 0 starts as the authority for the whole namespace.
   const DirFragId root{ns_.root(), frag_t()};
   ns_.frag(root)->auth = 0;
@@ -973,9 +971,9 @@ bool MdsCluster::export_subtree(const DirFragId& frag, MdsRank to,
   // Two-phase commit: the exporter logs the export, the importer journals
   // the incoming metadata, the exporter journals the commit. The handshake
   // plus per-entry copying dominates migration latency.
-  journals_[static_cast<std::size_t>(from)]->append(
+  journals_[static_cast<std::size_t>(from)].append(
       "EExport " + frag.str() + " to=" + std::to_string(to));
-  journals_[static_cast<std::size_t>(to)]->append(
+  journals_[static_cast<std::size_t>(to)].append(
       "EImportStart " + frag.str() + " from=" + std::to_string(from));
 
   node(from).stats().exports++;
@@ -1041,10 +1039,10 @@ void MdsCluster::finish_migration(std::size_t idx) {
   for (const DirFragId& r : absorbed) subtree_roots_.erase(r);
   subtree_roots_[mig.rec.frag] = to;
 
-  journals_[static_cast<std::size_t>(from)]->append("EExportCommit " +
-                                                    mig.rec.frag.str());
-  journals_[static_cast<std::size_t>(to)]->append("EImportCommit " +
-                                                  mig.rec.frag.str());
+  journals_[static_cast<std::size_t>(from)].append("EExportCommit " +
+                                                   mig.rec.frag.str());
+  journals_[static_cast<std::size_t>(to)].append("EImportCommit " +
+                                                 mig.rec.frag.str());
 
   // Client sessions on both ends are flushed (coherency: capabilities and
   // leases must be re-established), stalling those clients briefly. The
@@ -1118,7 +1116,7 @@ Time MdsCluster::replay_duration(MdsRank rank) const {
   return kReplayBase +
          kReplayPerEntry *
              static_cast<Time>(
-                 journals_[static_cast<std::size_t>(rank)]->live_entries());
+                 journals_[static_cast<std::size_t>(rank)].live_entries());
 }
 
 void MdsCluster::log_recovery(RecoveryEvent::Kind kind, MdsRank rank,
@@ -1213,16 +1211,16 @@ void MdsCluster::abort_migration(std::size_t id, MdsRank dead,
   // abort; a dead exporter's subtree is handled by takeover/replay.
   if (dead == kNoRank) {
     // Watchdog abort: both ends live; both journal their abort.
-    journals_[static_cast<std::size_t>(mig.rec.from)]->append(
+    journals_[static_cast<std::size_t>(mig.rec.from)].append(
         "EExportAbort " + mig.rec.frag.str() + " reason=" + reason);
-    journals_[static_cast<std::size_t>(mig.rec.to)]->append(
+    journals_[static_cast<std::size_t>(mig.rec.to)].append(
         "EImportAbort " + mig.rec.frag.str() + " reason=" + reason);
     log_recovery(RecoveryEvent::Kind::MigrationAborted, mig.rec.from,
                  mig.rec.to, mig.deferred.size(), mig.span);
   } else {
     const MdsRank survivor = mig.rec.from == dead ? mig.rec.to : mig.rec.from;
     if (is_up(survivor)) {
-      journals_[static_cast<std::size_t>(survivor)]->append(
+      journals_[static_cast<std::size_t>(survivor)].append(
           (survivor == mig.rec.from ? "EExportAbort " : "EImportAbort ") +
           mig.rec.frag.str() + " peer=" + std::to_string(dead));
     }
@@ -1327,7 +1325,7 @@ bool MdsCluster::crash_mds(MdsRank rank) {
     if (is_up(survivor) && survivor != rank) {
       const Time replay = replay_duration(rank);
       log_recovery(RecoveryEvent::Kind::TakeoverStart, rank, survivor,
-                   journals_[idx]->live_entries());
+                   journals_[idx].live_entries());
       engine_.schedule_after(replay, [this, rank, survivor, epoch]() {
         const auto i = static_cast<std::size_t>(rank);
         // The rank came back (or crashed again) in the meantime: its own
@@ -1335,8 +1333,8 @@ bool MdsCluster::crash_mds(MdsRank rank) {
         if (crash_epoch_[i] != epoch || life_[i] != NodeLife::Down) return;
         if (!is_up(survivor)) return;  // adopter died too; wait for restart
         adopt_subtrees(rank, survivor);
-        journals_[i]->trim(journals_[i]->next_seq());  // consumed by replay
-        journals_[static_cast<std::size_t>(survivor)]->append(
+        journals_[i].trim(journals_[i].next_seq());  // consumed by replay
+        journals_[static_cast<std::size_t>(survivor)].append(
             "ETakeover from=" + std::to_string(rank));
         log_recovery(RecoveryEvent::Kind::TakeoverComplete, rank, survivor, 0);
         MANTLE_LOG_INFO("mds%d took over mds%d's subtrees", survivor, rank);
@@ -1352,7 +1350,7 @@ void MdsCluster::adopt_subtrees(MdsRank from, MdsRank to) {
   for (const DirFragId& root : roots_of(from)) {
     walk_region(ns_, {root}, from, [&](const DirFragId& cur, DirFrag& f) {
       f.auth = to;
-      // The adopter fetches the dirfrag objects from the object store.
+      // The adopter fetches the dirfrag objects from RADOS.
       ns_.record_op(cur, MetaOp::FETCH, now);
     });
     subtree_roots_[root] = to;
@@ -1368,16 +1366,16 @@ bool MdsCluster::restart_mds(MdsRank rank) {
   const std::uint64_t epoch = crash_epoch_[idx];
   const Time replay = replay_duration(rank);
   log_recovery(RecoveryEvent::Kind::RestartStart, rank, kNoRank,
-               journals_[idx]->live_entries());
+               journals_[idx].live_entries());
   MANTLE_LOG_INFO("mds%d restarting: replaying %zu journal entries", rank,
-                  journals_[idx]->live_entries());
+                  journals_[idx].live_entries());
   engine_.schedule_after(replay, [this, rank, epoch]() {
     const auto i = static_cast<std::size_t>(rank);
     if (crash_epoch_[i] != epoch || life_[i] != NodeLife::Replaying) return;
     settle_heartbeats();
     life_[i] = NodeLife::Up;
-    journals_[i]->trim(journals_[i]->next_seq());
-    journals_[i]->append("ERestart");
+    journals_[i].trim(journals_[i].next_seq());
+    journals_[i].append("ERestart");
     log_recovery(RecoveryEvent::Kind::ReplayComplete, rank, kNoRank, 0);
     MANTLE_LOG_INFO("mds%d finished replay, serving again", rank);
     // Subtrees it still owns (no takeover happened) are serviceable again.
@@ -1436,15 +1434,13 @@ void MdsCluster::maybe_split(const DirFragId& id) {
 }
 
 void MdsCluster::flush_dirty(MdsRank rank) {
-  // Periodic dirty-dirfrag writeback: each flush is a STORE on the frag
-  // (feeding the `store` term of the metaload) and an omap write.
+  // Periodic dirty-dirfrag writeback: each flush is a STORE on the frag,
+  // feeding the `store` term of the metaload.
   const Time now = engine_.now();
   for (const DirFragId& root : roots_of(rank)) {
     walk_region(ns_, {root}, rank, [&](const DirFragId& cur, DirFrag& f) {
       if (!f.dirty) return;
       f.dirty = false;
-      store_.omap_set("dir." + cur.str(), "version",
-                      std::to_string(now / kMsec));
       ns_.record_op(cur, MetaOp::STORE, now);
     });
   }

@@ -396,7 +396,7 @@ class MdsNode {
   mantle::DecayCounter forward_pop_;  // decayed load from misdirected reqs
 };
 
-/// The cluster: owns the namespace, the object store, the MDS nodes, the
+/// The cluster: owns the namespace, the MDS nodes and their journals, the
 /// subtree-authority map and the migration machinery.
 class MdsCluster {
  public:
@@ -410,7 +410,6 @@ class MdsCluster {
 
   mantle::mds::Namespace& ns() { return ns_; }
   const mantle::mds::Namespace& ns() const { return ns_; }
-  store::ObjectStore& object_store() { return store_; }
 
   /// Cluster-wide metrics registry and structured trace sink. Always on:
   /// every counter bump and trace record uses simulated time and
@@ -436,7 +435,7 @@ class MdsCluster {
   MdsNode& node(MdsRank r) { return *nodes_.at(static_cast<std::size_t>(r)); }
   /// A rank's MDS journal (migration events; replayed on recovery).
   store::Journal& journal(MdsRank r) {
-    return *journals_.at(static_cast<std::size_t>(r));
+    return journals_.at(static_cast<std::size_t>(r));
   }
 
   /// Install a balancing policy on one node (or all nodes via rank -1).
@@ -669,13 +668,12 @@ class MdsCluster {
   ClusterConfig cfg_;
   Rng rng_;
   mantle::mds::Namespace ns_;
-  store::ObjectStore store_;
   obs::MetricsRegistry metrics_;
   obs::TraceSink trace_;
   obs::ProvenanceRecorder provenance_;
   ClusterMetrics om_;  // cached handles into metrics_ (must follow it)
   std::vector<std::unique_ptr<MdsNode>> nodes_;
-  std::vector<std::unique_ptr<store::Journal>> journals_;
+  std::vector<store::Journal> journals_;
 
   std::map<DirFragId, MdsRank> subtree_roots_;
   std::map<std::size_t, ActiveMigration> active_migrations_;  // by id

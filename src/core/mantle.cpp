@@ -162,7 +162,7 @@ MantleBalancer::MantleBalancer(MantlePolicy policy, Options opt)
   if (opt_.state_store != nullptr && !opt_.state_oid.empty()) {
     // Recover durable state left by a previous incarnation.
     std::string raw;
-    if (opt_.state_store->read(opt_.state_oid, &raw).ok)
+    if (opt_.state_store->read(opt_.state_oid, &raw))
       state_ = decode_state(raw);
   }
   bind_state_functions();

@@ -98,8 +98,9 @@ class MantleBalancer final : public cluster::Balancer {
     std::uint64_t budget = 1 << 20;  // interpreter steps per hook call
     /// Optional durable backing for WRstate/RDstate. The paper kept the
     /// state in temporary files and lists "store them in RADOS objects"
-    /// as future work; wiring an ObjectStore here does exactly that —
-    /// state survives balancer reconstruction (e.g. an MDS restart).
+    /// as future work; with a key-value ObjectStore standing in for
+    /// RADOS here, state survives balancer reconstruction. Nothing in the
+    /// cluster wires one: its balancers keep their state in memory.
     store::ObjectStore* state_store = nullptr;
     std::string state_oid;  // object name, e.g. "mantle.state.mds0"
   };

@@ -11,20 +11,6 @@ void FaultInjector::arm(cluster::MdsCluster& cluster) {
   cluster_ = &cluster;
   cluster.set_network_faults(this);
 
-  if (plan_.store_fail_prob > 0.0) {
-    // The store hook consumes a dedicated rng fork so that store-op volume
-    // (which varies wildly with workload) does not perturb the heartbeat
-    // fault stream.
-    cluster.object_store().set_fault_hook(
-        [this, store_rng = rng_.fork()](store::StoreOp,
-                                        const std::string&) mutable {
-          if (!store_faults_active()) return false;
-          if (store_rng.next_double() >= plan_.store_fail_prob) return false;
-          ++counters_.store_faults;
-          return true;
-        });
-  }
-
   for (const CrashEvent& c : plan_.crashes) {
     cluster.engine().schedule_at(c.at, [this, c]() {
       if (cluster_->crash_mds(c.rank)) {
@@ -50,12 +36,6 @@ void FaultInjector::note_fault(const char* what, MdsRank rank) {
       .inc();
   cluster_->trace().event(cluster_->engine().now(),
                           obs::EventKind::FaultInjected, rank, -1, what);
-}
-
-bool FaultInjector::store_faults_active() const {
-  const Time now = cluster_->engine().now();
-  if (now < plan_.store_fail_from) return false;
-  return plan_.store_fail_until == 0 || now < plan_.store_fail_until;
 }
 
 bool FaultInjector::drop_heartbeat(MdsRank, MdsRank) {

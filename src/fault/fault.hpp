@@ -10,15 +10,15 @@
 /// \file fault.hpp
 /// Fault injection for the simulated cluster. A FaultPlan is a declarative
 /// description of everything that goes wrong during a run — MDS crashes
-/// and restarts at fixed simulated times, probabilistic heartbeat
-/// drop/duplication/extra delay, and transient object-store op failures —
-/// and a FaultInjector arms it against a cluster. All randomness comes
-/// from the plan's own seed, so (seed, plan) -> identical fault sequence,
-/// which keeps fault runs as replayable as fault-free ones.
+/// and restarts at fixed simulated times, and probabilistic heartbeat
+/// drop/duplication/extra delay — and a FaultInjector arms it against a
+/// cluster. All randomness comes from the plan's own seed, so (seed, plan)
+/// -> identical fault sequence, which keeps fault runs as replayable as
+/// fault-free ones.
 ///
 /// The injector deliberately lives *outside* the cluster: the cluster
-/// exposes mechanisms (crash_mds/restart_mds, the NetworkFaults interface,
-/// the ObjectStore fault hook) and this layer decides when to pull them.
+/// exposes mechanisms (crash_mds/restart_mds, the NetworkFaults interface)
+/// and this layer decides when to pull them.
 
 namespace mantle::fault {
 
@@ -50,11 +50,6 @@ struct FaultPlan {
   double hb_delay_prob = 0.0;      // extra delay on top of the normal path
   Time hb_delay_max = 0;           // extra delay uniform in (0, max]
 
-  // -- transient object-store failures --------------------------------------
-  double store_fail_prob = 0.0;    // probability an op fails (not applied)
-  Time store_fail_from = 0;        // faults active in [from, until)
-  Time store_fail_until = 0;       // 0 = no upper bound
-
   std::uint64_t seed = 42;         // injector's private rng stream
 };
 
@@ -65,7 +60,6 @@ struct FaultCounters {
   std::uint64_t hb_dropped = 0;
   std::uint64_t hb_duplicated = 0;
   std::uint64_t hb_delayed = 0;
-  std::uint64_t store_faults = 0;
 };
 
 class FaultInjector : public cluster::NetworkFaults {
@@ -73,9 +67,9 @@ class FaultInjector : public cluster::NetworkFaults {
   explicit FaultInjector(FaultPlan plan);
 
   /// Install this injector on a cluster: registers the NetworkFaults
-  /// interface and the ObjectStore fault hook, and schedules every crash
-  /// and restart in the plan on the cluster's engine. Call once, before
-  /// running the engine. The injector must outlive the cluster's run.
+  /// interface and schedules every crash and restart in the plan on the
+  /// cluster's engine. Call once, before running the engine. The injector
+  /// must outlive the cluster's run.
   void arm(cluster::MdsCluster& cluster);
 
   const FaultPlan& plan() const { return plan_; }
@@ -88,7 +82,6 @@ class FaultInjector : public cluster::NetworkFaults {
   Time extra_heartbeat_delay(MdsRank from, MdsRank to) override;
 
  private:
-  bool store_faults_active() const;
   /// Record one fired fault in the cluster's metrics + trace timeline.
   void note_fault(const char* what, MdsRank rank);
 

@@ -117,7 +117,7 @@ TEST(MantleState, FillAndSpillRunsDurable) {
   EXPECT_FALSE(b.when(v));   // second hot tick still holds
   // The hold counter is in the store now.
   std::string raw;
-  ASSERT_TRUE(store.read("fs-state", &raw).ok);
+  ASSERT_TRUE(store.read("fs-state", &raw));
   EXPECT_EQ(raw[0], 'n');
   EXPECT_TRUE(b.when(v));    // third consecutive hot tick fires
   EXPECT_EQ(b.hook_errors(), 0u) << b.last_error();

@@ -268,22 +268,6 @@ TEST(Fault, InjectorDropsHeartbeats) {
   EXPECT_EQ(inj.counters().hb_duplicated, 0u);
 }
 
-TEST(Fault, InjectorFailsStoreOpsInWindow) {
-  Harness h(1);
-  FaultPlan plan;
-  plan.store_fail_prob = 1.0;
-  plan.store_fail_from = 0;
-  plan.store_fail_until = 0;  // unbounded
-  FaultInjector inj(plan);
-  inj.arm(h.cluster);
-
-  auto& store = h.cluster.object_store();
-  EXPECT_FALSE(store.write_full("oid", "data").ok);
-  EXPECT_FALSE(store.exists("oid")) << "failed op must not mutate";
-  EXPECT_GT(store.stats().faults_injected, 0u);
-  EXPECT_EQ(inj.counters().store_faults, store.stats().faults_injected);
-}
-
 TEST(Fault, ClusterViewAliveHelpers) {
   cluster::ClusterView view;
   view.mdss.resize(3);

@@ -183,8 +183,8 @@ TEST(RecoveryScenario, DeterministicAcrossRuns) {
 }
 
 TEST(RecoveryScenario, HeartbeatFaultsDoNotLoseRequests) {
-  // A flaky network (drops, dups, delays) plus transient store failures
-  // must degrade balancing, never correctness.
+  // A flaky network (drops, dups, delays) must degrade balancing, never
+  // correctness.
   sim::ScenarioConfig cfg;
   cfg.cluster.num_mds = 3;
   cfg.cluster.seed = 5;
@@ -206,7 +206,6 @@ TEST(RecoveryScenario, HeartbeatFaultsDoNotLoseRequests) {
   plan.hb_duplicate_prob = 0.3;
   plan.hb_delay_prob = 0.5;
   plan.hb_delay_max = 2 * kSec;
-  plan.store_fail_prob = 0.01;
   FaultInjector inj(plan);
   inj.arm(s.cluster());
 
@@ -222,7 +221,6 @@ TEST(RecoveryScenario, HeartbeatFaultsDoNotLoseRequests) {
   EXPECT_GT(inj.counters().hb_dropped, 0u);
   EXPECT_GT(inj.counters().hb_duplicated, 0u);
   EXPECT_GT(inj.counters().hb_delayed, 0u);
-  EXPECT_GT(inj.counters().store_faults, 0u);
 }
 
 }  // namespace
