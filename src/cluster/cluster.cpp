@@ -479,7 +479,6 @@ void MdsNode::complete(Request r, Time /*svc*/) {
   }
 
   ++stats_.completed;
-  ++stats_.ops_by_type[static_cast<std::size_t>(r.op)];
   ++done_in_window_;
   cluster_.om_.requests_completed.inc();
   stats_.throughput.record(now);
@@ -992,16 +991,14 @@ bool MdsCluster::export_subtree(const DirFragId& frag, MdsRank to,
   // a hung importer, a lost 2PC message). Abort and roll back instead of
   // leaving the subtree frozen — frozen subtrees park every request that
   // touches them.
-  if (cfg_.export_stuck_ticks > 0) {
-    const Time deadline = static_cast<Time>(cfg_.export_stuck_ticks) *
-                          cfg_.bal_interval;
-    if (deadline <= duration) {
-      engine_.schedule_after(deadline, [this, id]() {
-        if (active_migrations_.count(id) == 0) return;
-        om_.exports_timed_out.inc();
-        abort_migration(id, kNoRank, "stuck-timeout");
-      });
-    }
+  const Time deadline =
+      static_cast<Time>(cfg_.export_stuck_ticks) * cfg_.bal_interval;
+  if (deadline <= duration) {
+    engine_.schedule_after(deadline, [this, id]() {
+      if (active_migrations_.count(id) == 0) return;
+      om_.exports_timed_out.inc();
+      abort_migration(id, kNoRank, "stuck-timeout");
+    });
   }
   MANTLE_LOG_INFO("migration start %s: mds%d -> mds%d (%zu entries)",
                   frag.str().c_str(), from, to, entries);
@@ -1251,7 +1248,6 @@ void MdsCluster::abort_migrations_of(MdsRank dead) {
 }
 
 void MdsCluster::schedule_export_retry(const DirFragId& frag, MdsRank to) {
-  if (cfg_.export_retry_max <= 0) return;
   int& attempts = export_retry_attempts_[frag];
   if (attempts >= cfg_.export_retry_max) {
     export_retry_attempts_.erase(frag);

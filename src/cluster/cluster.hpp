@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <deque>
 #include <functional>
 #include <map>
@@ -111,9 +110,8 @@ struct ClusterConfig {
   Time export_retry_cap = 10 * kSec;
   /// Watchdog on in-flight 2PC exports: a migration still active after
   /// this many balance intervals is aborted and rolled back instead of
-  /// freezing its subtree forever. 0 disables the watchdog. The default
-  /// is far above any simulated migration duration, so it only fires on
-  /// genuinely wedged exports.
+  /// freezing its subtree forever. The default is far above any simulated
+  /// migration duration, so it only fires on genuinely wedged exports.
   int export_stuck_ticks = 30;
 
   // -- observability -----------------------------------------------------------
@@ -128,10 +126,6 @@ struct ClusterConfig {
 };
 
 enum class OpType { Create, Mkdir, Getattr, Lookup, Readdir, Unlink, Rename };
-
-/// Number of OpType values (keep in sync with the enum; Rename is last).
-inline constexpr std::size_t kNumOpTypes =
-    static_cast<std::size_t>(OpType::Rename) + 1;
 
 const char* op_name(OpType op);
 
@@ -222,10 +216,6 @@ struct MdsStats {
   std::uint64_t remote_prefix_ops = 0;  // served with a foreign parent dir
   std::uint64_t exports = 0;
   std::uint64_t imports = 0;
-  /// Completions by op type, indexed by static_cast<size_t>(OpType). A
-  /// fixed array bumped in MdsNode::complete(): per-rank op mixes without
-  /// any per-client container on the hot path.
-  std::array<std::uint64_t, kNumOpTypes> ops_by_type{};
   Timeline throughput{mantle::kSec};  // completed requests per second
 };
 

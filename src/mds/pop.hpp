@@ -32,14 +32,6 @@ class PopVector {
     return counters_[static_cast<int>(op)].get(now, rate);
   }
 
-  /// CephFS's hard-coded scalarization (Table 1, "metaload" row):
-  /// ird + 2*iwr + readdir + 2*fetch + 4*store.
-  double cephfs_metaload(Time now, const DecayRate& rate) const {
-    return get(MetaOp::IRD, now, rate) + 2.0 * get(MetaOp::IWR, now, rate) +
-           get(MetaOp::READDIR, now, rate) + 2.0 * get(MetaOp::FETCH, now, rate) +
-           4.0 * get(MetaOp::STORE, now, rate);
-  }
-
   /// Scale every counter at `now` (decays first; see DecayCounter::scale).
   void scale(Time now, const DecayRate& rate, double f) {
     for (auto& c : counters_) c.scale(now, rate, f);

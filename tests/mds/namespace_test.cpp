@@ -230,14 +230,16 @@ TEST(Namespace, CephfsMetaloadFormula) {
   Namespace ns;
   const InodeId d = ns.mkdir(ns.root(), "d", 0);
   const DirFragId df{d, frag_t()};
-  ns.record_op(df, MetaOp::IRD, kSec);      // weight 1
-  ns.record_op(df, MetaOp::IWR, kSec);      // weight 2
-  ns.record_op(df, MetaOp::READDIR, kSec);  // weight 1
-  ns.record_op(df, MetaOp::FETCH, kSec);    // weight 2
-  ns.record_op(df, MetaOp::STORE, kSec);    // weight 4
-  const DirFrag* f = ns.frag(df);
-  ASSERT_NE(f, nullptr);
-  EXPECT_NEAR(f->pop.cephfs_metaload(kSec, ns.decay_rate()), 10.0, 1e-9);
+  ns.record_op(df, MetaOp::IRD, kSec);
+  ns.record_op(df, MetaOp::IWR, kSec);
+  ns.record_op(df, MetaOp::READDIR, kSec);
+  ns.record_op(df, MetaOp::FETCH, kSec);
+  ns.record_op(df, MetaOp::STORE, kSec);
+  // Each op charges its own counter once: these are the five inputs of
+  // Table 1's metaload (the formula itself: Original.MetaloadMatchesTable1).
+  for (int op = 0; op < kNumMetaOps; ++op)
+    EXPECT_NEAR(ns.frag_pop(df, static_cast<MetaOp>(op), kSec), 1.0, 1e-9)
+        << "op " << op;
 }
 
 TEST(Namespace, FragOfPointsAtCoveringFragment) {
