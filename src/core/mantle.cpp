@@ -25,25 +25,6 @@ bool is_expression(const std::string& src) {
   return lua::check_syntax("return (" + src + ")").empty();
 }
 
-/// Does the hook end with a dangling `then` (Table 1's "when" style)?
-bool ends_with_then(const std::string& src) {
-  // Strip trailing whitespace and line comments, then look for the token.
-  std::string s;
-  s.reserve(src.size());
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    if (src[i] == '-' && i + 1 < src.size() && src[i + 1] == '-') {
-      while (i < src.size() && src[i] != '\n') ++i;
-      if (i < src.size()) s += '\n';
-      continue;
-    }
-    s += src[i];
-  }
-  std::size_t end = s.find_last_not_of(" \t\r\n");
-  if (end == std::string::npos || end + 1 < 4) return false;
-  return s.compare(end - 3, 4, "then") == 0 &&
-         (end == 3 || !std::isalnum(static_cast<unsigned char>(s[end - 4])));
-}
-
 constexpr const char* kHookNames[] = {"metaload", "mdsload", "when", "where",
                                       "howmuch"};
 
@@ -56,18 +37,36 @@ constexpr const char* kBoundNames[] = {
     "STORE",   "targets", "whoami", "total",      "authmetaload",
     "allmetaload"};
 
+/// The eight fields of the MDSs row `row` names, as lowering inputs.
+std::vector<std::string> field_inputs(const char* row) {
+  std::vector<std::string> v;
+  for (const char* f : kRowFields) v.push_back(std::string(row) + "." + f);
+  return v;
+}
+
 /// The inputs a load hook may be lowered over, in the order metaload()
 /// and mdsload() pass their values: the five pop counters, and the eight
 /// fields of the row being scored.
 const std::vector<std::string>& lowering_inputs(bool mdsload) {
   static const std::vector<std::string> pop = {"IRD", "IWR", "READDIR",
                                                "FETCH", "STORE"};
-  static const std::vector<std::string> row = [] {
-    std::vector<std::string> v;
-    for (const char* f : kRowFields) v.push_back(std::string("MDSs[i].") + f);
-    return v;
-  }();
+  static const std::vector<std::string> row = field_inputs("MDSs[i]");
   return mdsload ? row : pop;
+}
+
+/// The inputs a then-style `when` may be lowered over, in the order
+/// when() passes their values: the eight fields of the caller's row, then
+/// the globals a view bind writes, and #MDSs.
+constexpr std::size_t kNumWhenInputs = std::size(kRowFields) + 5;
+const std::vector<std::string>& when_inputs() {
+  static const std::vector<std::string> v = [] {
+    std::vector<std::string> in = field_inputs("MDSs[whoami]");
+    for (const char* g :
+         {"whoami", "total", "authmetaload", "allmetaload", "#MDSs"})
+      in.emplace_back(g);
+    return in;
+  }();
+  return v;
 }
 
 /// Make `cell` hold table `t`, skipping the store (and its reference-count
@@ -198,6 +197,7 @@ const MantleBalancer::HookProgram& MantleBalancer::program(
   const bool recompile = p.compiled;
   p.source = src;
   p.lowered.reset();
+  p.lowered_then.reset();
   p.is_expr = false;
   p.then_style = false;
   const char* name = kHookNames[h];
@@ -212,21 +212,22 @@ const MantleBalancer::HookProgram& MantleBalancer::program(
         p.is_expr = true;
         p.lowered = lua::lower_expr(p.chunk, lowering_inputs(h == kMdsload),
                                     opt_.budget);
+        // A comparison yields a boolean, which a load hook reads as 0:
+        // leave that to the interpreter.
+        if (p.lowered && p.lowered->boolean) p.lowered.reset();
       } else {
         p.chunk = lua::compile(src, name);
         ++cache_stats_.parses;
       }
       break;
     case kWhen:
-      if (ends_with_then(src)) {
-        // Table 1 style: "if <cond> then" — complete the statement once,
-        // here, so truth of the condition is observable at run time.
-        p.chunk = lua::compile(src + "\n__go = 1 end", name);
-        p.then_style = true;
-      } else {
-        p.chunk = lua::compile(src, name);
-      }
+      // Table 1 style, "if <cond> then": complete the statement once,
+      // here, so truth of the condition is observable at run time.
+      p.then_style = is_then_fragment(src);
+      p.chunk = lua::compile(when_chunk(src), name);
       ++cache_stats_.parses;
+      if (p.then_style)
+        p.lowered_then = lua::lower_then(p.chunk, when_inputs(), opt_.budget);
       break;
     case kWhere:
       p.chunk = lua::compile(src, name);
@@ -281,6 +282,7 @@ void MantleBalancer::bind_state_functions() {
 }
 
 lua::RunResult MantleBalancer::run(const HookProgram& p) const {
+  flush();
   lua::RunResult r = lua_.run(p.chunk);
   last_steps_ = lua_.steps_used();
   return r;
@@ -289,6 +291,7 @@ lua::RunResult MantleBalancer::run(const HookProgram& p) const {
 bool MantleBalancer::is_lowered(const std::string& key) const {
   if (key == "mds_bal_metaload") return programs_[kMetaload].lowered.has_value();
   if (key == "mds_bal_mdsload") return programs_[kMdsload].lowered.has_value();
+  if (key == "mds_bal_when") return programs_[kWhen].lowered_then.has_value();
   return false;
 }
 
@@ -384,7 +387,7 @@ cluster::Balancer::EvalStats MantleBalancer::eval_stats() const {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-rebuild hook environments
+// Hook environments: written on demand, rebuilt only when reshaped
 // ---------------------------------------------------------------------------
 
 void MantleBalancer::RowCache::update(const RowValues& values) {
@@ -432,14 +435,41 @@ double MantleBalancer::metaload(const PopSnapshot& pop) const {
 
 double MantleBalancer::mdsload(const HeartbeatPayload& hb) const {
   obs::ScopedPhase prof(obs::ProfilePhase::HookEval);
-  // The hook is an expression over MDSs[i]; bind a table holding the
-  // entry being scored at its 1-based index. One cached single-row
-  // environment per rank, refreshed in place.
+  // The hook is an expression over MDSs[i]; MDSs holds the entry being
+  // scored at its 1-based index, in a single-row table per rank. A lowered
+  // (or absent) hook reads no Lua state, so until interpreted code could
+  // reach that table, binding it is a pending write. programs_ holds the
+  // current policy's hooks (compile_policy()).
   const std::size_t slot =
       hb.rank > 0 ? static_cast<std::size_t>(hb.rank) : std::size_t{0};
+  const double idx = static_cast<double>(hb.rank + 1);
+  const RowValues row = row_values(hb, 0.0, 1.0);
+  const bool lowered =
+      policy_.mdsload.empty() || programs_[kMdsload].lowered.has_value();
+  const bool exposed =
+      slot < solo_envs_.size() && solo_envs_[slot].mdss != nullptr;
+  pending_.row = false;  // MDSs is repointed below, either way
+  if (lowered && !exposed) {
+    pending_.row = true;
+    pending_.slot = slot;
+    pending_.idx = idx;
+    pending_.fields = row;
+  } else {
+    flush();
+    bind_solo(slot, idx, row);
+  }
+  global(kI) = Value(idx);
+  const std::uint64_t errs = hook_errors_;
+  const double v =
+      eval_load_hook(kMdsload, policy_.mdsload, "mdsload", row.data());
+  note_hook(kMdsload, hook_errors_ != errs);
+  return v;
+}
+
+void MantleBalancer::bind_solo(std::size_t slot, double idx,
+                               const RowValues& row) const {
   if (solo_envs_.size() <= slot) solo_envs_.resize(slot + 1);
   SoloEnv& se = solo_envs_[slot];
-  const double idx = static_cast<double>(hb.rank + 1);
   const bool intact = se.mdss != nullptr && se.idx == idx &&
                       se.mdss->erase_version == se.version &&
                       se.mdss->num_keys.size() == 1 &&
@@ -451,22 +481,56 @@ double MantleBalancer::mdsload(const HeartbeatPayload& hb) const {
     se.version = se.mdss->erase_version;
     se.idx = idx;
   }
-  const RowValues row = row_values(hb, 0.0, 1.0);
   se.row.update(row);
   point_at(*se.cell, se.row.row);
   point_at(global(kMDSs), se.mdss);
-  global(kI) = Value(idx);
-  const std::uint64_t errs = hook_errors_;
-  const double v =
-      eval_load_hook(kMdsload, policy_.mdsload, "mdsload", row.data());
-  note_hook(kMdsload, hook_errors_ != errs);
-  return v;
 }
 
-void MantleBalancer::bind_view(const ClusterView& view) {
+void MantleBalancer::stage_view(const ClusterView& view) {
   last_now_ = view.now;
   last_whoami_ = view.whoami;
   const std::size_t n = view.size();
+  Pending& p = pending_;
+  // A pending bind of another size is not superseded: it would drop or
+  // refresh row tables this one keeps, and interpreted code may hold them.
+  if (p.view && p.rows.size() != n) apply_view();
+  p.view = true;
+  p.row = false;  // the bind repoints MDSs
+  p.rows.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Defensive: a foreign/replayed view may carry fewer loads than ranks.
+    const double load = i < view.loads.size() ? view.loads[i] : 0.0;
+    p.rows[i] =
+        row_values(view.mdss[i], load, view.is_alive(i) ? 1.0 : 0.0);
+  }
+  const HeartbeatPayload& me = view.mdss[static_cast<std::size_t>(view.whoami)];
+  p.whoami = static_cast<double>(view.whoami + 1);
+  // A NaN/Inf total (possible in a hand-built or replayed view) is as
+  // dangerous as a NaN target: policies divide by it. Present 0 instead.
+  p.total = std::isfinite(view.total_load) ? view.total_load : 0.0;
+  p.auth_metaload = me.auth_metaload;
+  p.all_metaload = me.all_metaload;
+}
+
+void MantleBalancer::flush() const {
+  if (pending_.view) {
+    pending_.view = false;
+    apply_view();
+  }
+  if (pending_.row) {
+    pending_.row = false;
+    bind_solo(pending_.slot, pending_.idx, pending_.fields);
+  }
+  if (pending_.go) {
+    pending_.go = false;
+    lua_.set_global("go", Value{});
+    lua_.set_global("__go", Value(pending_.go_flag));
+  }
+}
+
+void MantleBalancer::apply_view() const {
+  const std::vector<RowValues>& rows = pending_.rows;
+  const std::size_t n = rows.size();
   ViewEnv& env = view_env_;
   if (env.mdss == nullptr) {
     env.mdss = lua::make_table();
@@ -489,9 +553,7 @@ void MantleBalancer::bind_view(const ClusterView& view) {
   }
   for (std::size_t i = 0; i < n; ++i) {
     RowCache& rc = env.rows[i];
-    // Defensive: a foreign/replayed view may carry fewer loads than ranks.
-    const double load = i < view.loads.size() ? view.loads[i] : 0.0;
-    rc.update(row_values(view.mdss[i], load, view.is_alive(i) ? 1.0 : 0.0));
+    rc.update(rows[i]);
     // Heal MDSs[i] if a policy overwrote the container cell itself.
     point_at(*env.mdss_cells[i], rc.row);
   }
@@ -514,22 +576,10 @@ void MantleBalancer::bind_view(const ClusterView& view) {
   // Globals are rebound every tick: a policy may have replaced them.
   point_at(global(kMDSs), env.mdss);
   point_at(global(kTargets), env.targets);
-  global(kWhoami) = Value(static_cast<double>(view.whoami + 1));
-  // A NaN/Inf total (possible in a hand-built or replayed view) is as
-  // dangerous as a NaN target: policies divide by it. Present 0 instead.
-  global(kTotal) =
-      Value(std::isfinite(view.total_load) ? view.total_load : 0.0);
-  // `whoami` was validated by the caller (when()/where() refuse to run a
-  // hook for an out-of-range rank), but keep the access guarded anyway.
-  if (view.whoami >= 0 && static_cast<std::size_t>(view.whoami) < n) {
-    const HeartbeatPayload& me =
-        view.mdss[static_cast<std::size_t>(view.whoami)];
-    global(kAuthMetaload) = Value(me.auth_metaload);
-    global(kAllMetaload) = Value(me.all_metaload);
-  } else {
-    global(kAuthMetaload) = Value(0.0);
-    global(kAllMetaload) = Value(0.0);
-  }
+  global(kWhoami) = Value(pending_.whoami);
+  global(kTotal) = Value(pending_.total);
+  global(kAuthMetaload) = Value(pending_.auth_metaload);
+  global(kAllMetaload) = Value(pending_.all_metaload);
 }
 
 bool MantleBalancer::when(const ClusterView& view) {
@@ -548,10 +598,31 @@ bool MantleBalancer::when(const ClusterView& view) {
     return false;
   }
 
-  bind_view(view);
+  stage_view(view);
+  const HookProgram& prog = program(kWhen, policy_.when);
+  if (prog.lowered_then) {
+    // The inputs are the values the staged bind writes: that bind leaves
+    // MDSs holding exactly the keys 1..n, and `targets` as n zeros, which
+    // is what pending_targets_ already holds.
+    const RowValues& me = pending_.rows[static_cast<std::size_t>(view.whoami)];
+    double in[kNumWhenInputs];
+    std::copy(me.begin(), me.end(), in);
+    in[8] = pending_.whoami;
+    in[9] = pending_.total;
+    in[10] = pending_.auth_metaload;
+    in[11] = pending_.all_metaload;
+    in[12] = static_cast<double>(view.size());
+    const lua::ThenProgram& lp = *prog.lowered_then;
+    const bool go = lp.cond.run(in) != 0.0;
+    last_steps_ = go ? lp.steps_taken : lp.steps_not_taken;
+    pending_.go = true;
+    pending_.go_flag = go ? 1.0 : 0.0;
+    note_hook(kWhen, false);
+    return go;
+  }
+  flush();
   lua_.set_global("go", Value{});
 
-  const HookProgram& prog = program(kWhen, policy_.when);
   lua::RunResult r;
   bool explicit_result = false;
   bool result = false;
@@ -609,7 +680,7 @@ std::vector<double> MantleBalancer::where(const ClusterView& view) {
     if (sanitized_ != nullptr) sanitized_->inc();
     return std::vector<double>(view.size(), 0.0);
   }
-  bind_view(view);
+  stage_view(view);  // run() flushes it: the tick's one bind
   lua::RunResult r = run(program(kWhere, policy_.where));
   if (!r.ok) {
     ++hook_errors_;
@@ -668,14 +739,37 @@ std::string MantleBalancer::inject(const std::string& key,
   return "";
 }
 
+bool is_then_fragment(const std::string& src) {
+  // Strip trailing whitespace and line comments, then look for the token.
+  std::string s;
+  s.reserve(src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    if (src[i] == '-' && i + 1 < src.size() && src[i + 1] == '-') {
+      while (i < src.size() && src[i] != '\n') ++i;
+      if (i < src.size()) s += '\n';
+      continue;
+    }
+    s += src[i];
+  }
+  const std::size_t end = s.find_last_not_of(" \t\r\n");
+  if (end == std::string::npos || end + 1 < 4) return false;
+  const auto ident = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+  };
+  return s.compare(end - 3, 4, "then") == 0 && (end == 3 || !ident(s[end - 4]));
+}
+
+std::string when_chunk(const std::string& src) {
+  return is_then_fragment(src) ? src + "\n__go = 1 end" : src;
+}
+
 std::string validate_policy(const MantlePolicy& policy, std::uint64_t budget) {
   // 1. Syntax: every hook must at least parse in its evaluation form.
   auto check_hook = [&](const char* name, const std::string& src,
                         bool allow_then) -> std::string {
     if (src.empty()) return "";
     if (is_expression(src)) return "";
-    std::string body = src;
-    if (allow_then && ends_with_then(src)) body += " __go = 1 end";
+    const std::string body = allow_then ? when_chunk(src) : src;
     const std::string err = lua::check_syntax(body, name);
     if (!err.empty()) return std::string(name) + ": " + err;
     return "";
@@ -725,8 +819,8 @@ std::string validate_policy(const MantlePolicy& policy, std::uint64_t budget) {
     view.loads[i] = probe.mdsload(view.mdss[i]);
   view.total_load = view.loads[0] + view.loads[1] + view.loads[2];
 
-  // Exercise when/where from each rank's perspective, twice (stateful
-  // policies like Fill & Spill take several iterations to act).
+  // Exercise when/where from each rank's perspective, four rounds
+  // (stateful policies like Fill & Spill take several iterations to act).
   for (int round = 0; round < 4; ++round) {
     for (int who = 0; who < 3; ++who) {
       view.whoami = who;

@@ -40,6 +40,13 @@
 /// `targets` directly (Listings 1-3 inline their where policy); if it
 /// does and no separate `where` hook is set, those targets are used.
 ///
+/// The host writes these globals only when interpreted code can read
+/// them. A lowered hook (a load hook, or Table 1's `when`) reads the
+/// doubles it is handed, so the writes it stands for wait as pending
+/// writes and are made, in the order they were recorded, just before the
+/// next interpreted hook runs. Every interpreted hook sees exactly the
+/// state it would have seen had every write been made at once.
+///
 /// MDSs[i]["alive"] is 1 for ranks heartbeating normally and 0 for ranks
 /// the laggy-peer detector has written off (heartbeat older than three
 /// balance intervals); dead ranks also show load 0 and are
@@ -141,9 +148,9 @@ class MantleBalancer final : public cluster::Balancer {
   /// once attach_observability() has run).
   const PolicyCacheStats& cache_stats() const { return cache_stats_; }
 
-  /// True if the hook injected under `key` ("mds_bal_metaload" or
-  /// "mds_bal_mdsload") runs as a lowered numeric program instead of on
-  /// the interpreter (see HookProgram::lowered).
+  /// True if the hook injected under `key` ("mds_bal_metaload",
+  /// "mds_bal_mdsload" or "mds_bal_when") runs as a lowered numeric
+  /// program instead of on the interpreter (see HookProgram::lowered).
   bool is_lowered(const std::string& key) const;
 
   /// Cumulative evaluation cost for the provenance recorder. Always
@@ -162,14 +169,18 @@ class MantleBalancer final : public cluster::Balancer {
   /// A metaload or mdsload expression that is plain arithmetic over its
   /// inputs (IRD IWR READDIR FETCH STORE, or MDSs[i]["<field>"]) is also
   /// lowered to `lowered`, which evaluates it from the doubles the hook
-  /// binds instead of through the interpreter. Value, steps charged and
-  /// Lua state are the same either way (docs/PERFORMANCE.md, "Load hooks
-  /// without the interpreter"); `chunk` still backs every other hook and
-  /// any expression the lowering declines.
+  /// is handed instead of through the interpreter. So is a then-style
+  /// `when` whose condition compares such arithmetic over the caller's
+  /// row, whoami, total, authmetaload, allmetaload and #MDSs (Table 1's),
+  /// to `lowered_then`. Value, steps charged and the Lua state later
+  /// hooks see are the same either way (docs/PERFORMANCE.md, "Load hooks
+  /// without the interpreter" and "Hook environments on demand"); `chunk`
+  /// still backs every other hook and anything the lowering declines.
   struct HookProgram {
     std::string source;        // what was compiled (cache key)
     lua::CompiledChunk chunk;  // ready-to-run AST (or compile error)
-    std::optional<lua::NumProgram> lowered;
+    std::optional<lua::NumProgram> lowered;        // metaload, mdsload
+    std::optional<lua::ThenProgram> lowered_then;  // when
     bool is_expr = false;      // compiled via compile_expr()
     bool then_style = false;   // when-hook "if <cond> then" fragment
     bool compiled = false;
@@ -195,7 +206,8 @@ class MantleBalancer final : public cluster::Balancer {
     void update(const RowValues& values);
   };
 
-  /// The when/where hook environment, built once and refreshed in place.
+  /// The when/where hook environment, built on the first bind that is
+  /// flushed and refreshed in place.
   struct ViewEnv {
     lua::TablePtr mdss;
     lua::TablePtr targets;
@@ -206,7 +218,10 @@ class MantleBalancer final : public cluster::Balancer {
     std::vector<lua::Value*> target_cells;  // targets[i] cells
   };
 
-  /// Single-row MDSs environment for the mdsload hook, one per rank.
+  /// Single-row MDSs environment for the mdsload hook, one per rank. Its
+  /// table is created by the first flush that has to write it; from then
+  /// on it is exposed (interpreted code may hold it), and every mdsload
+  /// of that rank refreshes it at once.
   struct SoloEnv {
     lua::TablePtr mdss;
     std::uint32_t version = 0;
@@ -226,13 +241,50 @@ class MantleBalancer final : public cluster::Balancer {
   /// inline (pushed_ remembers what the registry has already seen).
   void sync_cache_counters() const;
 
+  /// Lua-state writes that lowered hooks stand for and no interpreted
+  /// code has read yet, held as values (never pointers into a caller's
+  /// view). A later view bind of the same size drops a pending view bind,
+  /// and any later repoint of MDSs drops a pending unseen row; nothing
+  /// else is dropped. Only those two kinds write the same state
+  /// (the global MDSs), and a view bind drops an earlier row, so flush()'s
+  /// fixed order (view, row, go flags) is the order they were recorded in.
+  struct Pending {
+    /// A view bind: the MDSs rows, the container and n zeroed `targets`,
+    /// and the globals MDSs, targets, whoami, total, authmetaload and
+    /// allmetaload.
+    bool view = false;
+    std::vector<RowValues> rows;
+    double whoami = 0.0;
+    double total = 0.0;
+    double auth_metaload = 0.0;
+    double all_metaload = 0.0;
+    /// The latest mdsload row of a rank whose SoloEnv table does not
+    /// exist yet, with MDSs pointing at that table.
+    bool row = false;
+    std::size_t slot = 0;
+    double idx = 0.0;
+    RowValues fields{};
+    /// `go = nil` and `__go = go_flag`, from a lowered `when`.
+    bool go = false;
+    double go_flag = 0.0;
+  };
+
   /// Global `g`'s value cell, for writing a non-nil value without
   /// set_global's string-keyed lookup. Cells are re-taken whenever a
   /// global has been erased (the globals table's erase_version moved).
   lua::Value& global(Bound g) const;
-  void bind_view(const cluster::ClusterView& view);
+  /// Record a view bind of `view`, whose whoami the caller has checked.
+  void stage_view(const cluster::ClusterView& view);
+  /// Make the pending writes.
+  void flush() const;
+  /// Write the pending view bind into view_env_ and the globals.
+  void apply_view() const;
+  /// Point MDSs at rank slot `slot`'s single-row table, holding `row` at
+  /// index `idx` (the mdsload environment).
+  void bind_solo(std::size_t slot, double idx, const RowValues& row) const;
   void bind_state_functions();
-  /// Run a hook's chunk on the interpreter, remembering its steps.
+  /// Flush, then run a hook's chunk on the interpreter, remembering its
+  /// steps.
   lua::RunResult run(const HookProgram& p) const;
   /// Evaluate a load hook; `inputs` are its lowering inputs' values.
   double eval_load_hook(Hook h, const std::string& script,
@@ -259,6 +311,7 @@ class MantleBalancer final : public cluster::Balancer {
   mutable PolicyCacheStats pushed_;  // already reflected in the registry
   mutable ViewEnv view_env_;
   mutable std::vector<SoloEnv> solo_envs_;
+  mutable Pending pending_;
   mutable lua::Value* bound_cells_[kNumBound] = {};
   mutable std::uint32_t bound_version_ = 0;  // globals' erase_version
   mutable Time last_now_ = 0;     // latest view.now seen (trace timestamps)
@@ -276,8 +329,18 @@ class MantleBalancer final : public cluster::Balancer {
   obs::TraceSink* trace_ = nullptr;
 };
 
+/// Table 1 prints `when` as a fragment, `if <cond> then`. True if the
+/// last token of `src`, comments aside, is such a dangling `then` (an
+/// identifier like `hot_then` is no `then`).
+bool is_then_fragment(const std::string& src);
+
+/// The chunk a `when` source runs as: a then-fragment completed with
+/// `__go = 1 end` on a line of its own (MantleBalancer reads `__go` back
+/// as the decision), any other source as it is.
+std::string when_chunk(const std::string& src);
+
 /// Validate a policy before injecting it into a live cluster: parse every
-/// hook and dry-run it against a synthetic two-MDS view with an
+/// hook and dry-run it against a synthetic three-MDS view with an
 /// instruction budget, so `while 1 do end` is rejected instead of taking
 /// the MDS down (the paper's "Analyzing Security and Safety" item).
 /// Returns "" on success or a description of the first problem.

@@ -5,10 +5,10 @@
 #include "lua/ast.hpp"
 
 /// \file arith.hpp
-/// Lua arithmetic on two numbers, defined once. The interpreter, the
-/// parser's constant folder and lowered numeric programs (lower.hpp) all
-/// call arith(), so a folded, interpreted or lowered `a % b` yields the
-/// same bits.
+/// Lua arithmetic and ordering on two numbers, defined once. The
+/// interpreter, the parser's constant folder and lowered numeric programs
+/// (lower.hpp) all call arith() and compare(), so a folded, interpreted or
+/// lowered `a % b` yields the same bits and `a < b` the same truth.
 
 namespace mantle::lua {
 
@@ -25,6 +25,20 @@ inline double arith(BinOp op, double a, double b) {
     case BinOp::Div: return a / b;
     case BinOp::Mod: return a - std::floor(a / b) * b;
     default: return std::pow(a, b);
+  }
+}
+
+/// True for the four ordering comparisons: < <= > >=.
+constexpr bool is_order(BinOp op) { return op >= BinOp::Lt && op <= BinOp::Ge; }
+
+/// `a op b` for an operator with is_order(op). Any comparison with NaN is
+/// false.
+inline bool compare(BinOp op, double a, double b) {
+  switch (op) {
+    case BinOp::Lt: return a < b;
+    case BinOp::Le: return a <= b;
+    case BinOp::Gt: return a > b;
+    default: return a >= b;
   }
 }
 

@@ -466,16 +466,8 @@ Value Interp::eval_binary(const Expr& e, const FramePtr& frame) {
     case BinOp::Le:
     case BinOp::Gt:
     case BinOp::Ge: {
-      if (a.is_number() && b.is_number()) {
-        const double x = a.number();
-        const double y = b.number();
-        switch (e.bop) {
-          case BinOp::Lt: return Value(x < y);
-          case BinOp::Le: return Value(x <= y);
-          case BinOp::Gt: return Value(x > y);
-          default: return Value(x >= y);
-        }
-      }
+      if (a.is_number() && b.is_number())
+        return Value(compare(e.bop, a.number(), b.number()));
       if (a.is_string() && b.is_string()) {
         const int c = a.str().compare(b.str());
         switch (e.bop) {

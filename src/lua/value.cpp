@@ -157,8 +157,13 @@ Value* Table::slot_num(double key) {
 }
 
 double Table::length() const {
+  // One ordered walk from key 1: count consecutive integers, step over
+  // the fractional keys between them, stop at the first gap.
   double n = 0.0;
-  while (num_keys.count(n + 1.0) != 0) n += 1.0;
+  for (auto it = num_keys.lower_bound(1.0); it != num_keys.end(); ++it) {
+    if (it->first == n + 1.0) n += 1.0;
+    else if (it->first > n + 1.0) break;
+  }
   return n;
 }
 

@@ -512,16 +512,9 @@ std::string run_env_once(const EnvCase& c, const lua::CompiledChunk& chunk,
 }
 
 lua::CompiledChunk compile_hook(std::string src, int hook) {
-  // Table-1 style `if <cond> then` when-fragments are completed the same
-  // way MantleBalancer's classifier does before running them.
-  if (hook == 2) {
-    std::string t = src;
-    while (!t.empty() && (t.back() == ' ' || t.back() == '\n' ||
-                          t.back() == '\t' || t.back() == '\r'))
-      t.pop_back();
-    if (t.size() >= 4 && t.compare(t.size() - 4, 4, "then") == 0)
-      src = t + " go = 1 end";
-  }
+  // Table-1 style `if <cond> then` when-fragments are completed the way
+  // MantleBalancer completes them before running them.
+  if (hook == 2) src = core::when_chunk(src);
   lua::CompiledChunk ch = lua::compile_expr(src, "fuzz");
   if (!ch.ok()) ch = lua::compile(src, "fuzz");
   return ch;

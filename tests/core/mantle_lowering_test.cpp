@@ -223,6 +223,8 @@ TEST_F(MantleLowering, EveryPaperPolicyMatchesTheInterpreter) {
     b.attach_observability(&reg, nullptr);
     EXPECT_TRUE(b.is_lowered("mds_bal_metaload"));
     EXPECT_TRUE(b.is_lowered("mds_bal_mdsload"));
+    // Only Table 1's `when` is one comparison; Listings 1-4 are chunks.
+    EXPECT_EQ(b.is_lowered("mds_bal_when"), std::string(p.name) == "original");
     const MantleBalancer::PolicyCacheStats built = b.cache_stats();
     Reference ref(p.policy, MantleBalancer::Options{}.budget);
     drive(b, ref, rng, 600);

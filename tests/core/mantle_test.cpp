@@ -231,6 +231,32 @@ TEST(MantleValidate, AcceptsAllPaperPolicies) {
   EXPECT_EQ(validate_policy(scripts::adaptable()), "");
 }
 
+TEST(MantleValidate, AcceptsAWhenEndingInAnIdentifierThatEndsInThen) {
+  // `hot_then` is one identifier, not a dangling `then`: nothing may be
+  // appended to the chunk.
+  MantlePolicy p;
+  p.when = "hot_then = MDSs[whoami][\"load\"] > total/#MDSs\nreturn hot_then";
+  EXPECT_FALSE(is_then_fragment(p.when));
+  EXPECT_EQ(validate_policy(p), "");
+  MantleBalancer b(p);
+  EXPECT_TRUE(b.when(make_view(0, {90, 10, 20})));
+  EXPECT_FALSE(b.when(make_view(1, {90, 10, 20})));
+  EXPECT_EQ(b.hook_errors(), 0u);
+}
+
+TEST(MantleValidate, ThenFragmentMayEndInAComment) {
+  // The completion goes on a line of its own, past the comment.
+  EXPECT_TRUE(is_then_fragment("if total > 1 then -- spill"));
+  MantlePolicy p;
+  p.when = "if MDSs[whoami][\"load\"] > total/#MDSs then -- overloaded";
+  EXPECT_EQ(validate_policy(p), "");
+  MantleBalancer b(p);
+  EXPECT_TRUE(b.when(make_view(0, {90, 10, 20})));
+  EXPECT_FALSE(is_then_fragment("x = 1 -- then"));
+  EXPECT_FALSE(is_then_fragment("then_"));
+  EXPECT_TRUE(is_then_fragment("then"));
+}
+
 TEST(MantleValidate, RejectsSyntaxErrors) {
   MantlePolicy p;
   p.when = "if then";
