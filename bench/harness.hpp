@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "balancers/builtin.hpp"
 #include "core/mantle.hpp"
 #include "obs/profile.hpp"
@@ -74,6 +76,10 @@ struct RunSpec {
 /// for byte, also under run_seeds_parallel(). run_scenario() calls this
 /// automatically; benches that drive a sim::Scenario by hand call it
 /// after run().
+///
+/// Only one document is in memory at a time: each is serialized, folded
+/// into the digest, written under a temporary name unique to this dump
+/// and freed, and the five files are renamed once the digest is known.
 inline void dump_observability(const std::string& label, std::uint64_t seed,
                                sim::Scenario& s) {
   const char* dir = std::getenv("MANTLE_OBS_DIR");
@@ -89,30 +95,47 @@ inline void dump_observability(const std::string& label, std::uint64_t seed,
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << body;
   };
+  static constexpr const char* kExts[] = {".prom", ".metrics.json",
+                                          ".trace.json", ".perfetto.json",
+                                          ".provenance.json"};
+  static std::atomic<std::uint64_t> next_tmp{0};
+  const std::string base = std::string(dir) + "/" +
+                           (label.empty() ? "run" : label) + "-seed" +
+                           std::to_string(seed);
+  const std::string tmp = base + ".tmp" + std::to_string(::getpid()) + "-" +
+                          std::to_string(next_tmp.fetch_add(1));
   std::string stem;
   {
     obs::ScopedPhase prof(obs::ProfilePhase::TraceIo);
     const cluster::MdsCluster& c = s.cluster();
-    const std::pair<const char*, std::string> docs[] = {
-        {".prom", c.metrics().to_prometheus()},
-        {".metrics.json", c.metrics().to_json()},
-        {".trace.json", c.trace().to_json()},
-        {".perfetto.json", c.trace().to_perfetto()},
-        {".provenance.json", c.provenance().to_json()},
+    const auto document = [&c](int i) {
+      switch (i) {
+        case 0: return c.metrics().to_prometheus();
+        case 1: return c.metrics().to_json();
+        case 2: return c.trace().to_json();
+        case 3: return c.trace().to_perfetto();
+        default: return c.provenance().to_json();
+      }
     };
     std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-    for (const auto& [ext, body] : docs) {
+    for (int i = 0; i < 5; ++i) {
+      const std::string body = document(i);
       for (const char ch : body) {
         h ^= static_cast<unsigned char>(ch);
         h *= 1099511628211ull;  // FNV prime
       }
+      write(tmp + kExts[i], body);
     }
     char digest[9];
     std::snprintf(digest, sizeof(digest), "%08x",
                   static_cast<unsigned>(h ^ (h >> 32)));
-    stem = std::string(dir) + "/" + (label.empty() ? "run" : label) +
-           "-seed" + std::to_string(seed) + "-" + digest;
-    for (const auto& [ext, body] : docs) write(stem + ext, body);
+    stem = base + "-" + digest;
+    for (const char* ext : kExts) {
+      std::filesystem::rename(tmp + ext, stem + ext, ec);
+      if (ec)
+        std::fprintf(stderr, "obs: cannot write %s%s: %s\n", stem.c_str(), ext,
+                     ec.message().c_str());
+    }
   }
   // Opt-in wall-clock side files. Deliberately separate from the
   // deterministic dump set above: profile numbers are real-time

@@ -61,8 +61,8 @@ int frag_bits_of(const std::string& detail) {
 // Parsers
 // ---------------------------------------------------------------------------
 
-std::vector<TraceEvent> parse_trace_json(const std::string& json) {
-  std::vector<TraceEvent> out;
+TraceEvents parse_trace_json(const std::string& json) {
+  TraceEvents out;
   const JsonValue root = jsonr::parse(json);
   if (root.type != JsonValue::Type::Array) return out;
   for (const JsonValue& e : root.arr) {
@@ -125,7 +125,7 @@ MetricsSnapshot parse_metrics_json(const std::string& json) {
 // Analysis
 // ---------------------------------------------------------------------------
 
-Report analyze(const std::vector<TraceEvent>& events, const AnalyzeConfig& cfg,
+Report analyze(const TraceEvents& events, const AnalyzeConfig& cfg,
                const MetricsSnapshot& metrics) {
   Report rep = analyze(events, cfg, &metrics.counters);
   const auto gauge = [&](const char* name, double& out) {
@@ -145,7 +145,7 @@ Report analyze(const std::vector<TraceEvent>& events, const AnalyzeConfig& cfg,
   return rep;
 }
 
-Report analyze(const std::vector<TraceEvent>& events, const AnalyzeConfig& cfg,
+Report analyze(const TraceEvents& events, const AnalyzeConfig& cfg,
                const std::map<std::string, double>* counters) {
   Report rep;
   rep.events = events.size();

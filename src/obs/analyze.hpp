@@ -157,19 +157,19 @@ struct Report {
 
 /// Analyze a timeline. `counters` (optional) is a metrics snapshot —
 /// e.g. from parse_metrics_counters() — used for the locality ratio.
-Report analyze(const std::vector<TraceEvent>& events,
+Report analyze(const TraceEvents& events,
                const AnalyzeConfig& cfg = {},
                const std::map<std::string, double>* counters = nullptr);
 
 /// Analyze with a full metrics snapshot: same as the counters overload,
 /// plus pool-memory gauges and histogram quantile rows in the report.
-Report analyze(const std::vector<TraceEvent>& events,
+Report analyze(const TraceEvents& events,
                const AnalyzeConfig& cfg, const MetricsSnapshot& metrics);
 
 /// Parse a `*.trace.json` dump (the exact format TraceSink::to_json()
 /// emits) back into events. Unknown kinds and malformed entries are
 /// skipped rather than fatal, so analyzers tolerate truncated dumps.
-std::vector<TraceEvent> parse_trace_json(const std::string& json);
+TraceEvents parse_trace_json(const std::string& json);
 
 /// Parse the "counters" object of a `*.metrics.json` dump
 /// (MetricsRegistry::to_json()) into name -> value.

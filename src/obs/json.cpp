@@ -8,58 +8,69 @@
 
 namespace mantle::obs {
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
+void JsonWriter::escaped_string(std::string_view s) {
   static constexpr char kHex[] = "0123456789abcdef";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += "\\u00";
-          out += kHex[c >> 4];
-          out += kHex[c & 0xf];
-        } else {
-          out += c;
-        }
+  // A chunk of input that is all `\u00XX` escapes still fits the buffer.
+  constexpr std::size_t kChunk = kBufferSize / 6;
+  raw('"');
+  for (std::size_t at = 0; at < s.size(); at += kChunk) {
+    const std::string_view part = s.substr(at, kChunk);
+    if (room() < 6 * part.size()) flush();
+    for (const char ch : part) {
+      const auto c = static_cast<unsigned char>(ch);
+      if (kJsonEscapedSize[c] == 1) {
+        *p_++ = ch;
+        continue;
+      }
+      *p_++ = '\\';
+      switch (c) {
+        case '"': *p_++ = '"'; break;
+        case '\\': *p_++ = '\\'; break;
+        case '\n': *p_++ = 'n'; break;
+        case '\r': *p_++ = 'r'; break;
+        case '\t': *p_++ = 't'; break;
+        default:
+          for (const char e : {'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]})
+            *p_++ = e;
+      }
     }
+  }
+  raw('"');
+}
+
+void JsonWriter::other_number(double x) {
+  if (!std::isfinite(x)) {
+    raw(x > 0 ? "1e999" : (x < 0 ? "-1e999" : "0"));
+  } else if (x == 0.0) {
+    raw("-0");  // printf's "%.0f" keeps the sign of zero
+  } else {
+    if (x != last_) {
+      last_ = x;
+      last_size_ = static_cast<std::size_t>(
+          std::to_chars(last_text_, last_text_ + kMaxNumberChars, x,
+                        std::chars_format::general, 17)
+              .ptr -
+          last_text_);
+    }
+    raw(std::string_view(last_text_, last_size_));
   }
 }
 
-}  // namespace
-
 std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  append_escaped(out, s);
-  return out;
+  const std::string quoted = json_string(s);
+  return quoted.substr(1, quoted.size() - 2);
 }
 
 std::string json_string(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  append_escaped(out, s);
-  out += '"';
-  return out;
+  JsonWriter w;
+  w.string(s);
+  return std::move(w).take();
 }
 
 std::string format_metric_value(double x) {
-  if (!std::isfinite(x)) return x > 0 ? "1e999" : (x < 0 ? "-1e999" : "0");
-  // Longest "%.17g" text is 24 bytes ("-2.2250738585072014e-308").
-  char buf[32];
-  const std::to_chars_result r =
-      x == std::floor(x) && std::fabs(x) < 1e15
-          ? std::to_chars(buf, buf + sizeof(buf), x, std::chars_format::fixed,
-                          0)
-          : std::to_chars(buf, buf + sizeof(buf), x,
-                          std::chars_format::general, 17);
-  return std::string(buf, r.ptr);
+  JsonWriter w;
+  w.number(x);
+  return std::move(w).take();
 }
 
 namespace jsonr {

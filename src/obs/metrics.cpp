@@ -1,8 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
 #include "obs/json.hpp"
 
@@ -140,98 +138,129 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *it->second.histogram;
 }
 
-std::string MetricsRegistry::to_prometheus() const {
-  std::string out;
-  char buf[128];
+template <class Out>
+void MetricsRegistry::write_prometheus(Out& out) const {
   for (const auto& [name, e] : entries_) {
-    if (!e.help.empty()) out += "# HELP " + name + " " + e.help + "\n";
+    if (!e.help.empty()) {
+      out.raw("# HELP ");
+      out.raw(name);
+      out.raw(' ');
+      out.raw(e.help);
+      out.raw('\n');
+    }
+    out.raw("# TYPE ");
+    out.raw(name);
     switch (e.kind) {
       case Kind::kCounter:
-        out += "# TYPE " + name + " counter\n";
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, e.counter->value());
-        out += name + " " + buf + "\n";
+        out.raw(" counter\n");
+        out.raw(name);
+        out.raw(' ');
+        out.integer(e.counter->value());
+        out.raw('\n');
         break;
       case Kind::kGauge:
-        out += "# TYPE " + name + " gauge\n";
-        out += name + " " + format_metric_value(e.gauge->value()) + "\n";
+        out.raw(" gauge\n");
+        out.raw(name);
+        out.raw(' ');
+        out.number(e.gauge->value());
+        out.raw('\n');
         break;
       case Kind::kHistogram: {
-        out += "# TYPE " + name + " histogram\n";
+        out.raw(" histogram\n");
         const auto& counts = e.histogram->bucket_counts();
         const auto& bounds = e.histogram->bounds();
         std::uint64_t cum = 0;
-        for (std::size_t i = 0; i < bounds.size(); ++i) {
+        for (std::size_t i = 0; i <= bounds.size(); ++i) {
           cum += counts[i];
-          std::snprintf(buf, sizeof(buf), "%" PRIu64, cum);
-          out += name + "_bucket{le=\"" + format_metric_value(bounds[i]) +
-                 "\"} " + buf + "\n";
+          out.raw(name);
+          out.raw("_bucket{le=\"");
+          if (i < bounds.size())
+            out.number(bounds[i]);
+          else
+            out.raw("+Inf");
+          out.raw("\"} ");
+          out.integer(cum);
+          out.raw('\n');
         }
-        cum += counts[bounds.size()];
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, cum);
-        out += name + "_bucket{le=\"+Inf\"} " + buf + "\n";
-        out += name + "_sum " + format_metric_value(e.histogram->sum()) + "\n";
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, e.histogram->count());
-        out += name + "_count " + buf + "\n";
+        out.raw(name);
+        out.raw("_sum ");
+        out.number(e.histogram->sum());
+        out.raw('\n');
+        out.raw(name);
+        out.raw("_count ");
+        out.integer(e.histogram->count());
         // Estimated quantiles as a comment: native histograms have no
         // quantile sample type, and emitting summary-style samples
         // would clash with TYPE histogram.
-        out += "# QUANTILES " + name +
-               " p50=" + format_metric_value(estimate_quantile(bounds, counts, 0.5)) +
-               " p95=" + format_metric_value(estimate_quantile(bounds, counts, 0.95)) +
-               " p99=" + format_metric_value(estimate_quantile(bounds, counts, 0.99)) +
-               "\n";
+        out.raw("\n# QUANTILES ");
+        out.raw(name);
+        out.raw(" p50=");
+        out.number(estimate_quantile(bounds, counts, 0.5));
+        out.raw(" p95=");
+        out.number(estimate_quantile(bounds, counts, 0.95));
+        out.raw(" p99=");
+        out.number(estimate_quantile(bounds, counts, 0.99));
+        out.raw('\n');
         break;
       }
     }
   }
-  return out;
+}
+
+template <class Out>
+void MetricsRegistry::write_json(Out& out) const {
+  // One pass over the name-ordered entries per section.
+  const auto section = [&](Kind kind, auto&& value) {
+    bool first = true;
+    for (const auto& [name, e] : entries_) {
+      if (e.kind != kind) continue;
+      if (!first) out.raw(',');
+      first = false;
+      out.string(name);
+      out.raw(':');
+      value(e);
+    }
+  };
+  out.raw("{\"counters\":{");
+  section(Kind::kCounter, [&](const Entry& e) { out.integer(e.counter->value()); });
+  out.raw("},\"gauges\":{");
+  section(Kind::kGauge, [&](const Entry& e) { out.number(e.gauge->value()); });
+  out.raw("},\"histograms\":{");
+  section(Kind::kHistogram, [&](const Entry& e) {
+    const auto& counts = e.histogram->bucket_counts();
+    const auto& bounds = e.histogram->bounds();
+    out.raw("{\"buckets\":[");
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      out.raw(i > 0 ? ",{\"le\":" : "{\"le\":");
+      if (i < bounds.size())
+        out.number(bounds[i]);
+      else
+        out.raw("\"+Inf\"");
+      out.raw(",\"count\":");
+      out.integer(counts[i]);
+      out.raw('}');
+    }
+    out.raw("],\"sum\":");
+    out.number(e.histogram->sum());
+    out.raw(",\"count\":");
+    out.integer(e.histogram->count());
+    out.raw(",\"quantiles\":{\"p50\":");
+    out.number(estimate_quantile(bounds, counts, 0.5));
+    out.raw(",\"p95\":");
+    out.number(estimate_quantile(bounds, counts, 0.95));
+    out.raw(",\"p99\":");
+    out.number(estimate_quantile(bounds, counts, 0.99));
+    out.raw("}}");
+  });
+  out.raw("}}");
+}
+
+std::string MetricsRegistry::to_prometheus() const {
+  return write_reserved([&](auto& out) { write_prometheus(out); });
 }
 
 std::string MetricsRegistry::to_json() const {
-  std::string counters;
-  std::string gauges;
-  std::string histograms;
-  char buf[128];
-  for (const auto& [name, e] : entries_) {
-    switch (e.kind) {
-      case Kind::kCounter:
-        if (!counters.empty()) counters += ",";
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, e.counter->value());
-        counters += json_string(name) + ":" + buf;
-        break;
-      case Kind::kGauge:
-        if (!gauges.empty()) gauges += ",";
-        gauges +=
-            json_string(name) + ":" + format_metric_value(e.gauge->value());
-        break;
-      case Kind::kHistogram: {
-        if (!histograms.empty()) histograms += ",";
-        const auto& counts = e.histogram->bucket_counts();
-        const auto& bounds = e.histogram->bounds();
-        std::string bkt;
-        for (std::size_t i = 0; i < counts.size(); ++i) {
-          if (!bkt.empty()) bkt += ",";
-          const std::string le =
-              i < bounds.size() ? format_metric_value(bounds[i]) : "\"+Inf\"";
-          std::snprintf(buf, sizeof(buf), "%" PRIu64, counts[i]);
-          bkt += "{\"le\":" + le + ",\"count\":" + buf + "}";
-        }
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, e.histogram->count());
-        histograms += json_string(name) + ":{\"buckets\":[" + bkt +
-                      "],\"sum\":" + format_metric_value(e.histogram->sum()) +
-                      ",\"count\":" + buf + ",\"quantiles\":{\"p50\":" +
-                      format_metric_value(estimate_quantile(bounds, counts, 0.5)) +
-                      ",\"p95\":" +
-                      format_metric_value(estimate_quantile(bounds, counts, 0.95)) +
-                      ",\"p99\":" +
-                      format_metric_value(estimate_quantile(bounds, counts, 0.99)) +
-                      "}}";
-        break;
-      }
-    }
-  }
-  return "{\"counters\":{" + counters + "},\"gauges\":{" + gauges +
-         "},\"histograms\":{" + histograms + "}}";
+  return write_reserved([&](auto& out) { write_json(out); });
 }
 
 }  // namespace mantle::obs

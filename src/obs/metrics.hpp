@@ -128,6 +128,12 @@ class MetricsRegistry {
   };
 
   void note_collision();
+  /// The two documents, as templates over JsonWriter and JsonSizer
+  /// (obs/json.hpp).
+  template <class Out>
+  void write_prometheus(Out& out) const;
+  template <class Out>
+  void write_json(Out& out) const;
 
   std::map<std::string, Entry> entries_;  // name-ordered => stable exports
   // Handed out on name/kind collisions; their values mean nothing.

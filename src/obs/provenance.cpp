@@ -14,7 +14,7 @@ namespace {
 using jsonr::JsonValue;
 
 /// Short fixed-precision number for the explain narrative (the JSON
-/// path uses format_metric_value for exact round-trips instead).
+/// path writes JsonWriter::number's text for exact round-trips instead).
 std::string num(double x) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4g", x);
@@ -65,73 +65,126 @@ std::string input_digest(const DecisionRecord& rec) {
   return buf;
 }
 
-std::string DecisionRecord::to_json() const {
-  std::string out = "{";
-  out += "\"alive\":[";
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    if (i > 0) out += ",";
-    out += alive[i] != 0 ? "1" : "0";
+namespace {
+
+/// One record as a JSON object with name-ordered keys: the routine both
+/// DecisionRecord::to_json and ProvenanceRecorder::to_json run.
+template <class Out>
+void write_record(Out& out, const DecisionRecord& rec) {
+  const auto numbers = [&](const std::vector<double>& xs) {
+    out.raw('[');
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (i > 0) out.raw(',');
+      out.number(xs[i]);
+    }
+    out.raw(']');
+  };
+  out.raw("{\"alive\":[");
+  for (std::size_t i = 0; i < rec.alive.size(); ++i) {
+    if (i > 0) out.raw(',');
+    out.raw(rec.alive[i] != 0 ? '1' : '0');
   }
-  out += "],\"at_us\":" + std::to_string(at);
-  out += ",\"cache_hits\":" + std::to_string(cache_hits);
-  out += ",\"cache_misses\":" + std::to_string(cache_misses);
-  out += ",\"cache_recompiles\":" + std::to_string(cache_recompiles);
-  out += ",\"digest\":" + json_string(digest);
-  out += ",\"go\":" + std::string(go ? "true" : "false");
-  out += ",\"hook_errors\":" + std::to_string(hook_errors);
-  out += ",\"loads\":[";
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    if (i > 0) out += ",";
-    out += format_metric_value(loads[i]);
+  out.raw("],\"at_us\":");
+  out.integer(rec.at);
+  out.raw(",\"cache_hits\":");
+  out.integer(rec.cache_hits);
+  out.raw(",\"cache_misses\":");
+  out.integer(rec.cache_misses);
+  out.raw(",\"cache_recompiles\":");
+  out.integer(rec.cache_recompiles);
+  out.raw(",\"digest\":");
+  out.string(rec.digest);
+  out.raw(rec.go ? ",\"go\":true" : ",\"go\":false");
+  out.raw(",\"hook_errors\":");
+  out.integer(rec.hook_errors);
+  out.raw(",\"loads\":");
+  numbers(rec.loads);
+  out.raw(",\"lua_steps\":");
+  out.integer(rec.lua_steps);
+  out.raw(",\"mdss\":[");
+  for (std::size_t i = 0; i < rec.mdss.size(); ++i) {
+    const HookInputRow& r = rec.mdss[i];
+    if (i > 0) out.raw(',');
+    out.raw("{\"all\":");
+    out.number(r.all_metaload);
+    out.raw(",\"auth\":");
+    out.number(r.auth_metaload);
+    out.raw(",\"cpu\":");
+    out.number(r.cpu_pct);
+    out.raw(",\"mem\":");
+    out.number(r.mem_pct);
+    out.raw(",\"q\":");
+    out.number(r.queue_len);
+    out.raw(",\"req\":");
+    out.number(r.req_rate);
+    out.raw('}');
   }
-  out += "],\"lua_steps\":" + std::to_string(lua_steps);
-  out += ",\"mdss\":[";
-  for (std::size_t i = 0; i < mdss.size(); ++i) {
-    const HookInputRow& r = mdss[i];
-    if (i > 0) out += ",";
-    out += "{\"all\":" + format_metric_value(r.all_metaload);
-    out += ",\"auth\":" + format_metric_value(r.auth_metaload);
-    out += ",\"cpu\":" + format_metric_value(r.cpu_pct);
-    out += ",\"mem\":" + format_metric_value(r.mem_pct);
-    out += ",\"q\":" + format_metric_value(r.queue_len);
-    out += ",\"req\":" + format_metric_value(r.req_rate) + "}";
+  out.raw("],\"min_load\":");
+  out.number(rec.min_load);
+  out.raw(",\"policy\":");
+  out.string(rec.policy);
+  out.raw(",\"rank\":");
+  out.integer(rec.rank);
+  out.raw(",\"selectors\":[");
+  for (std::size_t i = 0; i < rec.selectors.size(); ++i) {
+    if (i > 0) out.raw(',');
+    out.string(rec.selectors[i]);
   }
-  out += "],\"min_load\":" + format_metric_value(min_load);
-  out += ",\"policy\":" + json_string(policy);
-  out += ",\"rank\":" + std::to_string(rank);
-  out += ",\"selectors\":[";
-  for (std::size_t i = 0; i < selectors.size(); ++i) {
-    if (i > 0) out += ",";
-    out += json_string(selectors[i]);
-  }
-  out += "],\"ships\":[";
-  for (std::size_t i = 0; i < ships.size(); ++i) {
-    const ProvenanceShipment& s = ships[i];
-    if (i > 0) out += ",";
-    out += "{\"goal\":" + format_metric_value(s.goal);
-    out += ",\"picks\":[";
+  out.raw("],\"ships\":[");
+  for (std::size_t i = 0; i < rec.ships.size(); ++i) {
+    const ProvenanceShipment& s = rec.ships[i];
+    if (i > 0) out.raw(',');
+    out.raw("{\"goal\":");
+    out.number(s.goal);
+    out.raw(",\"picks\":[");
     for (std::size_t j = 0; j < s.picks.size(); ++j) {
       const ProvenancePick& p = s.picks[j];
-      if (j > 0) out += ",";
-      out += "{\"entries\":" + std::to_string(p.entries);
-      out += ",\"frag\":" + json_string(p.frag);
-      out += ",\"load\":" + format_metric_value(p.load) + "}";
+      if (j > 0) out.raw(',');
+      out.raw("{\"entries\":");
+      out.integer(p.entries);
+      out.raw(",\"frag\":");
+      out.string(p.frag);
+      out.raw(",\"load\":");
+      out.number(p.load);
+      out.raw('}');
     }
-    out += "],\"pool\":" + std::to_string(s.pool);
-    out += ",\"shipped\":" + format_metric_value(s.shipped);
-    out += ",\"target\":" + std::to_string(s.target) + "}";
+    out.raw("],\"pool\":");
+    out.integer(s.pool);
+    out.raw(",\"shipped\":");
+    out.number(s.shipped);
+    out.raw(",\"target\":");
+    out.integer(s.target);
+    out.raw('}');
   }
-  out += "]";
-  if (span >= 0) out += ",\"span\":" + std::to_string(span);
-  out += ",\"targets\":[";
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (i > 0) out += ",";
-    out += format_metric_value(targets[i]);
+  out.raw(']');
+  if (rec.span >= 0) {
+    out.raw(",\"span\":");
+    out.integer(rec.span);
   }
-  out += "],\"total_load\":" + format_metric_value(total_load);
-  out += ",\"truncated\":" + std::string(truncated ? "true" : "false");
-  out += "}";
-  return out;
+  out.raw(",\"targets\":");
+  numbers(rec.targets);
+  out.raw(",\"total_load\":");
+  out.number(rec.total_load);
+  out.raw(rec.truncated ? ",\"truncated\":true}" : ",\"truncated\":false}");
+}
+
+template <class Out>
+void write_records(Out& out, const std::vector<DecisionRecord>& records,
+                   std::uint64_t dropped) {
+  out.raw("{\"dropped\":");
+  out.integer(dropped);
+  out.raw(",\"records\":[");
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (i > 0) out.raw(',');
+    write_record(out, records[i]);
+  }
+  out.raw("]}");
+}
+
+}  // namespace
+
+std::string DecisionRecord::to_json() const {
+  return write_reserved([&](auto& out) { write_record(out, *this); });
 }
 
 bool ProvenanceRecorder::record(DecisionRecord rec) {
@@ -144,14 +197,13 @@ bool ProvenanceRecorder::record(DecisionRecord rec) {
 }
 
 std::string ProvenanceRecorder::to_json() const {
-  std::string out =
-      "{\"dropped\":" + std::to_string(dropped_) + ",\"records\":[";
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    if (i > 0) out += ",";
-    out += records_[i].to_json();
-  }
-  out += "]}";
-  return out;
+  return write_reserved(
+      [&](auto& out) { write_records(out, records_, dropped_); });
+}
+
+std::size_t ProvenanceRecorder::json_bound() const {
+  return size_bound(
+      [&](auto& out) { write_records(out, records_, dropped_); });
 }
 
 std::vector<DecisionRecord> parse_provenance_json(const std::string& json) {
@@ -238,7 +290,7 @@ std::vector<DecisionRecord> parse_provenance_json(const std::string& json) {
 }
 
 std::string render_explain(const std::vector<DecisionRecord>& records,
-                           const std::vector<TraceEvent>& events,
+                           const TraceEvents& events,
                            const ExplainOptions& opt) {
   // Index migration spans: export-starts by their parent (the balancer
   // tick span), and the terminal commit/abort by migration span.

@@ -103,8 +103,12 @@ class ProvenanceRecorder {
   std::uint64_t dropped() const { return dropped_; }
   std::size_t size() const { return records_.size(); }
 
-  /// Deterministic dump: {"records":[...],"dropped":N}.
+  /// Deterministic dump: {"dropped":N,"records":[...]}.
   std::string to_json() const;
+
+  /// The byte count to_json() reserves before it writes: an upper bound
+  /// counted as TraceSink::json_bound() counts.
+  std::size_t json_bound() const;
 
  private:
   std::size_t capacity_;
@@ -130,7 +134,7 @@ struct ExplainOptions {
 /// (committed / aborted / unresolved) for each shipment via the
 /// record's tick span. Deterministic: pure function of its inputs.
 std::string render_explain(const std::vector<DecisionRecord>& records,
-                           const std::vector<TraceEvent>& events,
+                           const TraceEvents& events,
                            const ExplainOptions& opt = {});
 
 }  // namespace mantle::obs

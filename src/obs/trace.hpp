@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <initializer_list>
 #include <string>
 #include <string_view>
@@ -84,6 +85,15 @@ struct TraceEvent {
   std::vector<std::pair<std::string, double>> fields;
 };
 
+/// A timeline: recorded by a TraceSink, parsed back from a dump, or built
+/// by hand. A deque grows in small fixed blocks, so a long trace never
+/// asks the heap for one large contiguous block (48 MB for the 455k
+/// events of a 512-rank run). Where such a block lands depends on what
+/// earlier runs in the same process left on the heap, and with it where
+/// the dumps written after it land and how much memory ends up
+/// resident.
+using TraceEvents = std::deque<TraceEvent>;
+
 /// One sink belongs to one scenario, which runs on one thread, so it
 /// takes no lock and hands out its stored events by reference.
 class TraceSink {
@@ -113,7 +123,7 @@ class TraceSink {
   std::size_t size() const { return events_.size(); }
   std::uint64_t dropped_events() const { return dropped_; }
   /// The stored timeline, in record order.
-  const std::vector<TraceEvent>& events() const { return events_; }
+  const TraceEvents& events() const { return events_; }
 
   /// The whole timeline as one JSON array of event objects.
   std::string to_json() const;
@@ -132,9 +142,16 @@ class TraceSink {
   std::string to_perfetto() const;
   std::string to_perfetto(const class Profiler* profiler) const;
 
+  /// The byte counts each writer reserves before it writes: upper bounds
+  /// on to_json() and to_perfetto(profiler), counting literal text and
+  /// strings exactly, kMaxNumberChars per number and kMaxIntegerChars
+  /// per integer (obs/json.hpp).
+  std::size_t json_bound() const;
+  std::size_t perfetto_bound(const class Profiler* profiler) const;
+
  private:
   std::size_t capacity_;
-  std::vector<TraceEvent> events_;
+  TraceEvents events_;
   std::uint64_t dropped_ = 0;
   std::uint64_t next_span_ = 0;
 };

@@ -41,7 +41,7 @@ struct Chunk {
 
 }  // namespace
 
-ShadowVerdict shadow_evaluate(const std::vector<obs::TraceEvent>& recorded,
+ShadowVerdict shadow_evaluate(const obs::TraceEvents& recorded,
                               const MantlePolicy& policy,
                               const ShadowConfig& cfg) {
   ShadowVerdict v;

@@ -72,7 +72,7 @@ struct ShadowVerdict {
 /// it rejects syntax errors and unconditional loops before any replay.
 /// Deterministic: same events + same policy + same config =>
 /// byte-identical verdict JSON.
-ShadowVerdict shadow_evaluate(const std::vector<obs::TraceEvent>& recorded,
+ShadowVerdict shadow_evaluate(const obs::TraceEvents& recorded,
                               const core::MantlePolicy& policy,
                               const ShadowConfig& cfg = {});
 

@@ -98,7 +98,7 @@ TEST(Hardening, StaleEpochHeartbeatRejectedAfterCrash) {
   // The observer's next tick reports the rejection in its hb-received
   // summary.
   observer.tick();
-  const std::vector<obs::TraceEvent>& evs = h.cluster.trace().events();
+  const obs::TraceEvents& evs = h.cluster.trace().events();
   const auto summary = std::find_if(evs.begin(), evs.end(), [](const auto& e) {
     return e.kind == obs::EventKind::HeartbeatReceived && e.rank == 1;
   });

@@ -14,11 +14,15 @@
 /// The scenario has the create_shared_faults benchmark's shape: 8 ranks
 /// creating in one shared directory, 5% of heartbeats dropped, 10%
 /// delayed by up to 2 s, and a rank crash at 8 s with a restart after it.
-/// Each digest is FNV-1a over the whole provenance dump, which holds every
-/// balancer tick's input table and decision. They were taken when every
-/// heartbeat delivery was still an engine event, and a change to how
-/// heartbeats travel must reproduce them bit for bit, with the stale guard
-/// on and off.
+/// Each provenance digest is FNV-1a over the whole provenance dump, which
+/// holds every balancer tick's input table and decision. They were taken
+/// when every heartbeat delivery was still an engine event, and a change to
+/// how heartbeats travel must reproduce them bit for bit, with the stale
+/// guard on and off. The other four dumps of the same runs (trace JSON,
+/// Perfetto, metrics JSON, Prometheus) are pinned the same way; their
+/// digests were taken while every writer still built each number and key as
+/// a temporary string, so a writer that appends in place must reproduce
+/// them byte for byte.
 ///
 /// Those two runs keep one flat directory, where the order in which a
 /// namespace walk visits frags cannot change a sum. A third pin runs
@@ -40,9 +44,36 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
+/// FNV-1a of each of the five dump documents of one run.
+struct DumpDigests {
+  std::uint64_t provenance = 0;
+  std::uint64_t trace = 0;
+  std::uint64_t perfetto = 0;
+  std::uint64_t metrics = 0;
+  std::uint64_t prometheus = 0;
+};
+
+DumpDigests dump_digests(const cluster::MdsCluster& c) {
+  DumpDigests d;
+  d.provenance = fnv1a(c.provenance().to_json());
+  d.trace = fnv1a(c.trace().to_json());
+  d.perfetto = fnv1a(c.trace().to_perfetto());
+  d.metrics = fnv1a(c.metrics().to_json());
+  d.prometheus = fnv1a(c.metrics().to_prometheus());
+  return d;
+}
+
+void expect_digests(const DumpDigests& got, const DumpDigests& want) {
+  EXPECT_EQ(got.provenance, want.provenance);
+  EXPECT_EQ(got.trace, want.trace);
+  EXPECT_EQ(got.perfetto, want.perfetto);
+  EXPECT_EQ(got.metrics, want.metrics);
+  EXPECT_EQ(got.prometheus, want.prometheus);
+}
+
 struct Pinned {
   Time makespan = 0;
-  std::uint64_t provenance_digest = 0;
+  DumpDigests digests;
   FaultCounters counters;
   std::uint64_t stale_rejected = 0;
 };
@@ -82,7 +113,7 @@ Pinned run_pinned(bool stale_guard) {
 
   Pinned p;
   p.makespan = s.makespan();
-  p.provenance_digest = fnv1a(s.cluster().provenance().to_json());
+  p.digests = dump_digests(s.cluster());
   p.counters = faults.counters();
   p.stale_rejected = s.cluster().stale_heartbeats_rejected();
   return p;
@@ -95,7 +126,7 @@ Pinned run_pinned(bool stale_guard) {
 /// at 3 s holding imported subtrees, and rank 0 adopts them before rank 1
 /// restarts at 7 s.
 struct CompilePinned {
-  std::uint64_t provenance_digest = 0;
+  DumpDigests digests;
   std::size_t exports_committed = 0;
   std::size_t takeovers = 0;
   std::size_t nested_dirs = 0;
@@ -134,7 +165,7 @@ CompilePinned run_compile_pinned() {
   s.run();
 
   CompilePinned p;
-  p.provenance_digest = fnv1a(s.cluster().provenance().to_json());
+  p.digests = dump_digests(s.cluster());
   p.exports_committed = s.cluster().migrations().size();
   for (const cluster::RecoveryEvent& e : s.cluster().recovery_log())
     p.takeovers += e.kind == cluster::RecoveryEvent::Kind::TakeoverComplete;
@@ -150,7 +181,11 @@ TEST(DecisionPin, HeartbeatFaultsWithStaleGuard) {
   EXPECT_GT(p.counters.hb_dropped, 0u);
   EXPECT_GT(p.counters.hb_delayed, 0u);
   EXPECT_GT(p.stale_rejected, 0u);
-  EXPECT_EQ(p.provenance_digest, 0xf678f1a34dd21916ull);
+  expect_digests(p.digests, {.provenance = 0xf678f1a34dd21916ull,
+                             .trace = 0x8abbcf63acab40dcull,
+                             .perfetto = 0xa867e29ecb6316ccull,
+                             .metrics = 0xc331e3fedfc7711cull,
+                             .prometheus = 0xa59cb3592068ccecull});
 }
 
 TEST(DecisionPin, HeartbeatFaultsWithoutStaleGuard) {
@@ -158,7 +193,11 @@ TEST(DecisionPin, HeartbeatFaultsWithoutStaleGuard) {
   EXPECT_GT(p.makespan, 12 * kSec);
   EXPECT_EQ(p.counters.crashes, 1u);
   EXPECT_EQ(p.stale_rejected, 0u);
-  EXPECT_EQ(p.provenance_digest, 0x0acd4d60d6cff654ull);
+  expect_digests(p.digests, {.provenance = 0x0acd4d60d6cff654ull,
+                             .trace = 0x96471a78bd1c3dedull,
+                             .perfetto = 0xc7253141f7ba7a0bull,
+                             .metrics = 0x84c132417e39c573ull,
+                             .prometheus = 0x27a4d37ae73521c1ull});
 }
 
 TEST(DecisionPin, NestedCompileTreesWithTakeover) {
@@ -166,7 +205,11 @@ TEST(DecisionPin, NestedCompileTreesWithTakeover) {
   EXPECT_GT(p.exports_committed, 0u);
   EXPECT_EQ(p.takeovers, 1u);
   EXPECT_EQ(p.nested_dirs, 2 + 6 * (2 + workloads::compile_tree_spec().size()));
-  EXPECT_EQ(p.provenance_digest, 0xd53d507196d91212ull);
+  expect_digests(p.digests, {.provenance = 0xd53d507196d91212ull,
+                             .trace = 0x4ca4fe975821ae94ull,
+                             .perfetto = 0x40cd1e5b09718500ull,
+                             .metrics = 0x985c1b7150f79c66ull,
+                             .prometheus = 0xcd641eb93c29d457ull});
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ TEST(Detectors, PingPongTripsOnSustainedBouncing) {
   cfg.tick = kSec;
   // One subtree bouncing 0<->1 every 100 ms: commit then immediate
   // re-export back, kPingPongMinReversals times over.
-  std::vector<TraceEvent> evs;
+  TraceEvents evs;
   Time t = 0;
   int from = 0;
   int to = 1;
@@ -65,7 +65,7 @@ TEST(Detectors, PingPongTripsOnSustainedBouncing) {
 
 TEST(Detectors, SingleReversalIsTolerated) {
   // A->B, then B->A once (load legitimately moved back): no finding.
-  std::vector<TraceEvent> evs;
+  TraceEvents evs;
   evs.push_back(make(0, EventKind::ExportStart, 0, 1, "1.0x00000000/0", {}, 1));
   evs.push_back(
       make(10 * kMsec, EventKind::ExportCommit, 0, 1, "1.0x00000000/0", {}, 1));
@@ -81,7 +81,7 @@ TEST(Detectors, SingleReversalIsTolerated) {
 TEST(Detectors, ThrashTripsOnGoTicksShippingNothing) {
   AnalyzeConfig cfg;
   // Rank 0 decides to migrate every tick but the where hook ships zero.
-  std::vector<TraceEvent> evs;
+  TraceEvents evs;
   for (std::uint64_t i = 0; i < kThrashMinRun; ++i) {
     const Time t = i * cfg.tick;
     const SpanId span = static_cast<SpanId>(i + 1);
@@ -102,7 +102,7 @@ TEST(Detectors, ThrashTripsOnGoTicksShippingNothing) {
 }
 
 TEST(Detectors, StuckExportTripsWhenNeverResolved) {
-  std::vector<TraceEvent> evs;
+  TraceEvents evs;
   evs.push_back(make(kSec, EventKind::ExportStart, 0, 1, "1.0x00000000/0",
                      {{"entries", 5.0}}, 7));
   // A second migration that resolves normally must NOT be reported.
@@ -125,7 +125,7 @@ TEST(Detectors, StuckExportTripsWhenNeverResolved) {
 }
 
 TEST(Detectors, AbortResolvesAnExport) {
-  std::vector<TraceEvent> evs;
+  TraceEvents evs;
   evs.push_back(make(kSec, EventKind::ExportStart, 0, 1, "1.0x00000000/0",
                      {{"entries", 5.0}}, 7));
   evs.push_back(
@@ -136,7 +136,7 @@ TEST(Detectors, AbortResolvesAnExport) {
 }
 
 TEST(Detectors, DeadLetterLeakTripsWhenParkedOutnumberFlushed) {
-  std::vector<TraceEvent> evs;
+  TraceEvents evs;
   evs.push_back(make(kSec, EventKind::DeadLetterParked, 1, -1,
                      "1.0x00000000/0", {{"req", 1.0}}, 3));
   evs.push_back(make(kSec, EventKind::DeadLetterParked, 1, -1,
@@ -160,7 +160,7 @@ TEST(Detectors, DeadLetterLeakTripsWhenParkedOutnumberFlushed) {
 // ---------------------------------------------------------------------------
 
 TEST(Series, PerTickLoadAndImbalanceCv) {
-  std::vector<TraceEvent> evs;
+  TraceEvents evs;
   // Two ranks report loads via heartbeats: tick 0 balanced, tick 1 skewed.
   evs.push_back(
       make(100, EventKind::HeartbeatSent, 0, 1, "", {{"load", 4.0}}));
@@ -184,7 +184,7 @@ TEST(Series, PerTickLoadAndImbalanceCv) {
 }
 
 TEST(Series, SilentTicksCarryLoadsForward) {
-  std::vector<TraceEvent> evs;
+  TraceEvents evs;
   evs.push_back(make(0, EventKind::HeartbeatSent, 0, 1, "", {{"load", 2.0}}));
   evs.push_back(make(0, EventKind::HeartbeatSent, 1, 0, "", {{"load", 6.0}}));
   // Nothing for 3 ticks, then one event to extend the timeline.
@@ -199,7 +199,7 @@ TEST(Series, SilentTicksCarryLoadsForward) {
 }
 
 TEST(Summary, MigrationChurnSplitDepthAndLocality) {
-  std::vector<TraceEvent> evs;
+  TraceEvents evs;
   evs.push_back(make(100, EventKind::ExportStart, 0, 1, "1.0x00000000/0",
                      {{"entries", 40.0}}, 1));
   evs.push_back(make(500, EventKind::ExportCommit, 0, 1, "1.0x00000000/0",
@@ -226,7 +226,7 @@ TEST(Summary, MigrationChurnSplitDepthAndLocality) {
 }
 
 TEST(Summary, EmptyTimeline) {
-  const Report rep = analyze(std::vector<TraceEvent>{});
+  const Report rep = analyze(TraceEvents{});
   EXPECT_EQ(rep.events, 0u);
   EXPECT_EQ(rep.ticks, 0u);
   EXPECT_EQ(rep.tripped(), 0);

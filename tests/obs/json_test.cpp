@@ -123,7 +123,7 @@ TEST(JsonWriters, TraceDetailAndFieldKeysRoundTrip) {
 
   const std::string json = sink.to_json();
   EXPECT_FALSE(has_control_byte(json));
-  const std::vector<TraceEvent> back = parse_trace_json(json);
+  const TraceEvents back = parse_trace_json(json);
   ASSERT_EQ(back.size(), 1u);
   EXPECT_EQ(back[0].detail, kHostile);
   ASSERT_EQ(back[0].fields.size(), 1u);
@@ -403,6 +403,31 @@ TEST(FormatMetricValue, MatchesPrintfOnSeededRandomDoubles) {
   for (int i = 0; i < 100000; ++i)
     check(static_cast<double>(rng.next() >> 11) * 0x1.0p-53 * 1e6);
   EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(FormatMetricValue, OneWriterMatchesPrintfWhenValuesRepeat) {
+  // A writer keeps the text of the last "%.17g" value it formatted. A
+  // repeat, a neighbour one ulp away, both zeros, the non-finite
+  // spellings and integral values in between must each still print as
+  // printf does.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double a = 1.0 / 3.0;
+  std::vector<double> xs = {a,   a,    std::nextafter(a, 1.0), a,   0.0,
+                            a,   -0.0, a,    inf,  a,   std::nan(""),
+                            a,   -a,   a,    7.0,  a,   1e300,
+                            1e300, 2.5, 2.5, -2.5, 2.5};
+  // Seeded doubles, each repeating the one before it half of the time.
+  SplitMix64 rng(20260701);
+  for (int i = 0; i < 100000; ++i)
+    xs.push_back(rng.next() % 2 == 0 ? xs.back() : from_bits(rng.next()));
+  JsonWriter w;
+  std::string want;
+  for (const double x : xs) {
+    w.number(x);
+    w.raw(',');
+    want += printf_recipe(x) + ",";
+  }
+  EXPECT_EQ(std::move(w).take(), want);
 }
 
 }  // namespace

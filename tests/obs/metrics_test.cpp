@@ -137,6 +137,61 @@ TEST(Registry, JsonExport) {
             std::string::npos);
 }
 
+TEST(Registry, NumbersKeepTheirSpellingsInBothFormats) {
+  // Values no run produces: the pinned non-finite spellings, -0, both
+  // sides of the 1e15 switch, 2^53, the smallest subnormal and the
+  // largest count.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  MetricsRegistry reg;
+  reg.gauge("a_neg_zero").set(-0.0);
+  reg.gauge("b_inf").set(inf);
+  reg.gauge("c_neg_inf").set(-inf);
+  reg.gauge("d_nan").set(std::nan(""));
+  reg.gauge("e_below_1e15").set(std::nextafter(1e15, 0.0));
+  reg.gauge("f_above_1e15").set(std::nextafter(1e15, inf));
+  reg.gauge("g_two53").set(9007199254740992.0);
+  reg.gauge("h_subnormal").set(tiny);
+  reg.counter("i_max_total", "largest count")
+      .inc(std::numeric_limits<std::uint64_t>::max());
+  Histogram& h = reg.histogram("j_tiny", {tiny, 1e15}, "two bounds");
+  h.observe(-0.0);
+  h.observe(std::nextafter(1e15, inf));
+  EXPECT_EQ(reg.to_json(),
+            "{\"counters\":{\"i_max_total\":18446744073709551615},"
+            "\"gauges\":{\"a_neg_zero\":-0,\"b_inf\":1e999,"
+            "\"c_neg_inf\":-1e999,\"d_nan\":0,"
+            "\"e_below_1e15\":999999999999999.88,"
+            "\"f_above_1e15\":1000000000000000.1,"
+            "\"g_two53\":9007199254740992,"
+            "\"h_subnormal\":4.9406564584124654e-324},"
+            "\"histograms\":{\"j_tiny\":{\"buckets\":["
+            "{\"le\":4.9406564584124654e-324,\"count\":1},"
+            "{\"le\":1000000000000000,\"count\":0},"
+            "{\"le\":\"+Inf\",\"count\":1}],"
+            "\"sum\":1000000000000000.1,\"count\":2,"
+            "\"quantiles\":{\"p50\":4.9406564584124654e-324,"
+            "\"p95\":1000000000000000,\"p99\":1000000000000000}}}}");
+  EXPECT_EQ(reg.to_prometheus(),
+            "# TYPE a_neg_zero gauge\na_neg_zero -0\n"
+            "# TYPE b_inf gauge\nb_inf 1e999\n"
+            "# TYPE c_neg_inf gauge\nc_neg_inf -1e999\n"
+            "# TYPE d_nan gauge\nd_nan 0\n"
+            "# TYPE e_below_1e15 gauge\ne_below_1e15 999999999999999.88\n"
+            "# TYPE f_above_1e15 gauge\nf_above_1e15 1000000000000000.1\n"
+            "# TYPE g_two53 gauge\ng_two53 9007199254740992\n"
+            "# TYPE h_subnormal gauge\nh_subnormal 4.9406564584124654e-324\n"
+            "# HELP i_max_total largest count\n"
+            "# TYPE i_max_total counter\ni_max_total 18446744073709551615\n"
+            "# HELP j_tiny two bounds\n# TYPE j_tiny histogram\n"
+            "j_tiny_bucket{le=\"4.9406564584124654e-324\"} 1\n"
+            "j_tiny_bucket{le=\"1000000000000000\"} 1\n"
+            "j_tiny_bucket{le=\"+Inf\"} 2\n"
+            "j_tiny_sum 1000000000000000.1\nj_tiny_count 2\n"
+            "# QUANTILES j_tiny p50=4.9406564584124654e-324 "
+            "p95=1000000000000000 p99=1000000000000000\n");
+}
+
 TEST(Histogram, QuantileInterpolatesWithinBuckets) {
   Histogram h({1.0, 10.0, 100.0});
   for (int i = 0; i < 10; ++i) h.observe(0.5);   // bucket [0,1]

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -122,6 +124,142 @@ TEST(Trace, JsonEscapesDetail) {
 TEST(Trace, EmptySinkIsEmptyArray) {
   TraceSink sink;
   EXPECT_EQ(sink.to_json(), "[]");
+}
+
+// The exact documents below pin output that no fault or benchmark run
+// produces: every escape class, the pinned and boundary number spellings,
+// both halves of a migration pair and a `where` event's per-target keys.
+
+/// The metadata prefix of a Perfetto document whose largest rank is
+/// `max_rank`.
+std::string perfetto_head(int max_rank) {
+  std::string out =
+      "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
+      "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,"
+      "\"args\":{\"name\":\"mantle\"}},"
+      "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":0,"
+      "\"args\":{\"name\":\"cluster\"}}";
+  for (int r = 0; r <= max_rank; ++r)
+    out += ",{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":" +
+           std::to_string(r + 1) + ",\"args\":{\"name\":\"mds" +
+           std::to_string(r) + "\"}}";
+  return out;
+}
+
+TEST(Trace, DetailEscapesEveryByteClassExactly) {
+  TraceSink sink;
+  sink.event(3, EventKind::FaultInjected, 2, -1,
+             "q\"b\\s\x01\x1f\n\t\r\x7f"
+             "\xc3\xa9");
+  // Short escapes for quote, backslash, newline, tab and carriage return,
+  // lower-case \u00XX for other control bytes; DEL and UTF-8 pass through.
+  const std::string detail =
+      "\"q\\\"b\\\\s\\u0001\\u001f\\n\\t\\r\x7f"
+      "\xc3\xa9\"";
+  EXPECT_EQ(sink.to_json(),
+            "[{\"t_us\":3,\"kind\":\"fault-injected\",\"rank\":2,"
+            "\"detail\":" + detail + "}]");
+  EXPECT_EQ(sink.to_perfetto(),
+            perfetto_head(2) +
+                ",{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"mantle\","
+                "\"name\":\"fault-injected\",\"ts\":3,\"pid\":0,\"tid\":3,"
+                "\"args\":{\"detail\":" + detail + "}}]}");
+}
+
+TEST(Trace, FieldNumbersKeepTheirSpellings) {
+  const double inf = std::numeric_limits<double>::infinity();
+  TraceSink sink;
+  sink.event(4, EventKind::HowmuchDecision, 0, -1, "",
+             {{"neg_zero", -0.0},
+              {"inf", inf},
+              {"neg_inf", -inf},
+              {"nan", std::nan("")},
+              {"below_1e15", std::nextafter(1e15, 0.0)},
+              {"1e15", 1e15},
+              {"above_1e15", std::nextafter(1e15, inf)},
+              {"two53", 9007199254740992.0},
+              {"subnormal", std::numeric_limits<double>::denorm_min()}});
+  const std::string fields =
+      "\"neg_zero\":-0,\"inf\":1e999,\"neg_inf\":-1e999,\"nan\":0,"
+      "\"below_1e15\":999999999999999.88,\"1e15\":1000000000000000,"
+      "\"above_1e15\":1000000000000000.1,\"two53\":9007199254740992,"
+      "\"subnormal\":4.9406564584124654e-324";
+  EXPECT_EQ(sink.to_json(),
+            "[{\"t_us\":4,\"kind\":\"howmuch\",\"rank\":0,\"fields\":{" +
+                fields + "}}]");
+  EXPECT_EQ(sink.to_perfetto(),
+            perfetto_head(0) +
+                ",{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"mantle\","
+                "\"name\":\"howmuch\",\"ts\":4,\"pid\":0,\"tid\":1,"
+                "\"args\":{" + fields + "}}]}");
+}
+
+TEST(Trace, PerfettoMigrationPairsExactly) {
+  TraceSink sink;
+  const SpanId tick = sink.next_span();
+  const SpanId mig = sink.next_span();
+  const SpanId mig2 = sink.next_span();
+  sink.event(200, EventKind::ExportStart, 0, 1, "1.0x0/2", {{"entries", 3.0}},
+             mig, tick);
+  sink.event(250, EventKind::ExportStart, 1, 0, "7", {}, mig2, tick);
+  sink.event(900, EventKind::ExportCommit, 0, 1, "1.0x0/2",
+             {{"entries", 3.0}}, mig);
+  sink.event(950, EventKind::ExportAbort, 1, 0, "7", {}, mig2);
+  EXPECT_EQ(
+      sink.to_perfetto(),
+      perfetto_head(1) +
+          ",{\"ph\":\"b\",\"cat\":\"migration\",\"id\":2,"
+          "\"name\":\"migration\",\"ts\":200,\"pid\":0,\"tid\":1,"
+          "\"args\":{\"peer\":1,\"span\":2,\"parent\":1,"
+          "\"detail\":\"1.0x0/2\",\"entries\":3}}"
+          ",{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"mantle\","
+          "\"name\":\"export-start\",\"ts\":200,\"pid\":0,\"tid\":1,"
+          "\"args\":{\"peer\":1,\"span\":2,\"parent\":1,"
+          "\"detail\":\"1.0x0/2\",\"entries\":3}}"
+          ",{\"ph\":\"b\",\"cat\":\"migration\",\"id\":3,"
+          "\"name\":\"migration\",\"ts\":250,\"pid\":0,\"tid\":2,"
+          "\"args\":{\"peer\":0,\"span\":3,\"parent\":1,\"detail\":\"7\"}}"
+          ",{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"mantle\","
+          "\"name\":\"export-start\",\"ts\":250,\"pid\":0,\"tid\":2,"
+          "\"args\":{\"peer\":0,\"span\":3,\"parent\":1,\"detail\":\"7\"}}"
+          ",{\"ph\":\"e\",\"cat\":\"migration\",\"id\":2,"
+          "\"name\":\"migration\",\"ts\":900,\"pid\":0,\"tid\":1,"
+          "\"args\":{\"peer\":1,\"span\":2,\"detail\":\"1.0x0/2\","
+          "\"entries\":3}}"
+          ",{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"mantle\","
+          "\"name\":\"export-commit\",\"ts\":900,\"pid\":0,\"tid\":1,"
+          "\"args\":{\"peer\":1,\"span\":2,\"detail\":\"1.0x0/2\","
+          "\"entries\":3}}"
+          ",{\"ph\":\"e\",\"cat\":\"migration\",\"id\":3,"
+          "\"name\":\"migration\",\"ts\":950,\"pid\":0,\"tid\":2,"
+          "\"args\":{\"peer\":0,\"span\":3,\"detail\":\"7\"}}"
+          ",{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"mantle\","
+          "\"name\":\"export-abort\",\"ts\":950,\"pid\":0,\"tid\":2,"
+          "\"args\":{\"peer\":0,\"span\":3,\"detail\":\"7\"}}]}");
+}
+
+TEST(Trace, WhereEventKeepsItsPerTargetKeys) {
+  TraceSink sink;
+  TraceEvent ev;
+  ev.at = 5000000;
+  ev.kind = EventKind::WhereDecision;
+  ev.rank = 2;
+  ev.span = 7;
+  ev.fields = {{"targets_total", 2.0},
+               {"shipped_total", 12.5},
+               {"to0", 10.0},
+               {"to17", 2.5}};
+  sink.record(std::move(ev));
+  const std::string fields =
+      "\"targets_total\":2,\"shipped_total\":12.5,\"to0\":10,\"to17\":2.5";
+  EXPECT_EQ(sink.to_json(),
+            "[{\"t_us\":5000000,\"kind\":\"where\",\"rank\":2,\"span\":7,"
+            "\"fields\":{" + fields + "}}]");
+  EXPECT_EQ(sink.to_perfetto(),
+            perfetto_head(2) +
+                ",{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"mantle\","
+                "\"name\":\"where\",\"ts\":5000000,\"pid\":0,\"tid\":3,"
+                "\"args\":{\"span\":7," + fields + "}}]}");
 }
 
 TEST(Trace, EveryKindHasAName) {

@@ -12,7 +12,7 @@ namespace mantle::safety {
 namespace {
 
 using obs::EventKind;
-using obs::TraceEvent;
+using obs::TraceEvents;
 
 /// A synthetic recording of a hotspot run: rank 0's load grows by 10 per
 /// tick while ranks 1..n-1 idle, and every rank runs one balancer tick
@@ -20,7 +20,7 @@ using obs::TraceEvent;
 /// policy must survive: the growth is organic (monotone heartbeats, no
 /// recorded migrations), so any oscillation on the shadow timeline is
 /// the candidate's own doing.
-std::vector<TraceEvent> hotspot_trace(int ticks = 20, int nranks = 3) {
+TraceEvents hotspot_trace(int ticks = 20, int nranks = 3) {
   obs::TraceSink sink;
   double hot = 0.0;
   for (int k = 0; k < ticks; ++k) {
@@ -60,7 +60,7 @@ core::MantlePolicy thrash_policy() {
 }
 
 TEST(ShadowTest, PaperPoliciesAccepted) {
-  const std::vector<TraceEvent> rec = hotspot_trace();
+  const TraceEvents rec = hotspot_trace();
   for (const char* name :
        {"original", "greedy", "greedy_even", "fill_spill", "adaptable"}) {
     core::MantlePolicy p;
@@ -110,7 +110,7 @@ TEST(ShadowTest, EmptyRecordingRejected) {
 }
 
 TEST(ShadowTest, VerdictJsonDeterministic) {
-  const std::vector<TraceEvent> rec = hotspot_trace();
+  const TraceEvents rec = hotspot_trace();
   const ShadowVerdict a = shadow_evaluate(rec, ping_pong_policy());
   const ShadowVerdict b = shadow_evaluate(rec, ping_pong_policy());
   EXPECT_EQ(a.to_json(), b.to_json());

@@ -374,7 +374,7 @@ int main(int argc, char** argv) {
         }
         const auto records = mantle::obs::parse_provenance_json(prov_json);
         // The sibling trace resolves shipments to committed/aborted.
-        std::vector<mantle::obs::TraceEvent> events;
+        mantle::obs::TraceEvents events;
         std::string trace_json;
         if (read_file(dir + "/" + stem + ".trace.json", trace_json))
           events = mantle::obs::parse_trace_json(trace_json);
