@@ -196,32 +196,4 @@ std::vector<double> AdaptableBalancer::where(const ClusterView& view) {
   return targets;
 }
 
-// ---------------------------------------------------------------------------
-// HashBalancer
-// ---------------------------------------------------------------------------
-
-double HashBalancer::metaload(const PopSnapshot& p) const {
-  return p.ird + p.iwr + p.readdir;
-}
-
-bool HashBalancer::when(const ClusterView& view) {
-  // Hash placement ignores load entirely: whoever holds more than an even
-  // share (entry-wise proxied by auth load) keeps pushing outwards.
-  if (!self_in_view(view)) return false;
-  const double avg = view.total_load / static_cast<double>(view.size());
-  return view.loads[static_cast<std::size_t>(view.whoami)] > avg * 1.05;
-}
-
-std::vector<double> HashBalancer::where(const ClusterView& view) {
-  std::vector<double> targets(view.size(), 0.0);
-  if (!self_in_view(view)) return targets;
-  const double avg = view.total_load / static_cast<double>(view.size());
-  if (!std::isfinite(avg)) return targets;  // overflowed/corrupted total
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    if (static_cast<MdsRank>(i) == view.whoami) continue;
-    if (view.loads[i] < avg) targets[i] = avg - view.loads[i];
-  }
-  return targets;
-}
-
 }  // namespace mantle::balancers

@@ -164,19 +164,4 @@ class AdaptableBalancer final : public Balancer {
   Options opt_{};
 };
 
-/// Hash baseline: distributes every directory round-robin/hashed across
-/// the cluster regardless of load or locality (the "Compute it — Hashing"
-/// family in related work; used by the Figure 3 locality study).
-class HashBalancer final : public Balancer {
- public:
-  std::string name() const override { return "hash-distribute"; }
-  double metaload(const PopSnapshot& pop) const override;
-  double mdsload(const HeartbeatPayload& hb) const override {
-    return hb.auth_metaload;
-  }
-  bool when(const ClusterView& view) override;
-  std::vector<double> where(const ClusterView& view) override;
-  std::vector<std::string> howmuch() const override { return {"half"}; }
-};
-
 }  // namespace mantle::balancers

@@ -646,30 +646,22 @@ void MdsNode::tick() {
       std::vector<double> targets = balancer_->where(view);
       targets.resize(hb_.size(), 0.0);
       rec.targets = targets;
-      {
-        obs::TraceEvent ev;
-        ev.at = now;
-        ev.kind = obs::EventKind::WhereDecision;
-        ev.rank = rank_;
-        ev.span = tick_span;
-        // Always emit the totals, even when every target was sanitized
-        // away, so analyzers can tell "chose to send nothing" (fields
-        // present, zero) from a malformed event.
-        double surviving = 0.0;
-        double load_total = 0.0;
-        for (std::size_t t = 0; t < targets.size(); ++t) {
-          if (targets[t] > 0.0 && static_cast<MdsRank>(t) != rank_) {
-            surviving += 1.0;
-            load_total += targets[t];
-          }
+      // Always emit the totals, even when every target was sanitized
+      // away, so analyzers can tell "chose to send nothing" (fields
+      // present, zero) from a malformed event. The targets themselves
+      // are in the provenance record.
+      double surviving = 0.0;
+      double load_total = 0.0;
+      for (std::size_t t = 0; t < targets.size(); ++t) {
+        if (targets[t] > 0.0 && static_cast<MdsRank>(t) != rank_) {
+          surviving += 1.0;
+          load_total += targets[t];
         }
-        ev.fields.emplace_back("targets_total", surviving);
-        ev.fields.emplace_back("shipped_total", load_total);
-        for (std::size_t t = 0; t < targets.size(); ++t)
-          if (targets[t] > 0.0 && static_cast<MdsRank>(t) != rank_)
-            ev.fields.emplace_back("to" + std::to_string(t), targets[t]);
-        cluster_.trace_.record(std::move(ev));
       }
+      cluster_.trace_.event(
+          now, obs::EventKind::WhereDecision, rank_, -1, {},
+          {{"targets_total", surviving}, {"shipped_total", load_total}},
+          tick_span);
       // One howmuch() per tick: the strategy list is a per-policy constant,
       // not a per-target one.
       const std::vector<std::string> selectors = balancer_->howmuch();
@@ -686,14 +678,6 @@ void MdsNode::tick() {
             candidates.pool(goal, *balancer_);
         const std::vector<std::size_t> picks =
             best_selection(selectors, pool, goal);
-        cluster_.trace_.event(
-            now, obs::EventKind::HowmuchDecision, rank_, static_cast<int>(t),
-            {},
-            {{"goal", goal},
-             {"pool", static_cast<double>(pool.size())},
-             {"picked", static_cast<double>(picks.size())},
-             {"shipped", selection_load(pool, picks)}},
-            tick_span);
         obs::ProvenanceShipment ship;
         ship.target = static_cast<int>(t);
         ship.goal = goal;
@@ -762,15 +746,9 @@ void MdsCluster::record_provenance(obs::DecisionRecord rec) {
     rec.alive.clear();
     rec.truncated = true;
   }
-  const Time at = rec.at;
-  const int rank = rec.rank;
-  const obs::SpanId span = rec.span;
-  const std::string digest = rec.digest;
   (provenance_.record(std::move(rec)) ? om_.provenance_records
                                       : om_.provenance_dropped)
       .inc();
-  trace_.event(at, obs::EventKind::ProvenanceRecorded, rank, -1, digest, {},
-               span);
 }
 
 void MdsCluster::set_balancer(MdsRank rank, std::unique_ptr<Balancer> b) {

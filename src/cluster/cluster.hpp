@@ -121,8 +121,10 @@ struct ClusterConfig {
   std::size_t trace_capacity = std::size_t{1} << 20;
   /// Bound on the decision provenance recorder (one record per balancer
   /// tick per rank). Overflowing records are counted, not stored, with
-  /// the same determinism argument as trace_capacity.
-  std::size_t provenance_capacity = 4096;
+  /// the same determinism argument as trace_capacity. The records are the
+  /// only per-target account of a tick's decision, so the default keeps
+  /// every tick of a 512-rank run over eleven balancer intervals.
+  std::size_t provenance_capacity = std::size_t{1} << 14;
 };
 
 enum class OpType { Create, Mkdir, Getattr, Lookup, Readdir, Unlink, Rename };
@@ -416,9 +418,9 @@ class MdsCluster {
   const obs::ProvenanceRecorder& provenance() const { return provenance_; }
 
   /// Finalize and store one decision record: compute the input digest,
-  /// apply the kProvenanceMaxRanks truncation, bump the provenance
-  /// counters and mirror a `provenance-decision` event onto the
-  /// record's tick span.
+  /// apply the kProvenanceMaxRanks truncation and bump the provenance
+  /// counters. The record's `span` is the tick span its `when` event
+  /// carries, which is how a reader joins it to the trace.
   void record_provenance(obs::DecisionRecord rec);
 
   int num_mds() const { return static_cast<int>(nodes_.size()); }

@@ -56,11 +56,6 @@ void JsonWriter::other_number(double x) {
   }
 }
 
-std::string json_escape(const std::string& s) {
-  const std::string quoted = json_string(s);
-  return quoted.substr(1, quoted.size() - 2);
-}
-
 std::string json_string(const std::string& s) {
   JsonWriter w;
   w.string(s);

@@ -194,9 +194,6 @@ std::string write_reserved(const Write& write) {
   return std::move(w).take();
 }
 
-/// The body of a JSON string literal for `s` (no surrounding quotes).
-std::string json_escape(const std::string& s);
-
 /// `s` as a complete JSON string literal, as JsonWriter::string writes it.
 std::string json_string(const std::string& s);
 

@@ -92,7 +92,7 @@ std::string input_digest(const DecisionRecord& rec);
 /// belongs to one scenario on one thread and takes no lock.
 class ProvenanceRecorder {
  public:
-  explicit ProvenanceRecorder(std::size_t capacity = 4096)
+  explicit ProvenanceRecorder(std::size_t capacity = std::size_t{1} << 14)
       : capacity_(capacity) {}
 
   /// Returns false when the record was dropped (capacity reached).

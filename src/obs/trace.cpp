@@ -16,7 +16,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::HeartbeatReceived: return "hb-received";
     case EventKind::WhenDecision: return "when";
     case EventKind::WhereDecision: return "where";
-    case EventKind::HowmuchDecision: return "howmuch";
     case EventKind::ExportStart: return "export-start";
     case EventKind::ExportCommit: return "export-commit";
     case EventKind::ExportAbort: return "export-abort";
@@ -33,7 +32,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::PolicyRecompile: return "policy-recompile";
     case EventKind::ExportRetry: return "export-retry";
     case EventKind::InvariantViolation: return "invariant-violation";
-    case EventKind::ProvenanceRecorded: return "provenance-decision";
   }
   return "?";
 }

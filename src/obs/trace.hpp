@@ -14,10 +14,12 @@
 /// The tracing half of the observability layer: a bounded, append-only
 /// sink of typed events with *simulated* timestamps. Everything an
 /// operator would want on a timeline when debugging a balancing run goes
-/// through here — per-tick heartbeat summaries, the when/where/howmuch
-/// decisions with their inputs and outputs, the 2PC export phases, dirfrag
+/// through here — per-tick heartbeat summaries, the when/where decisions
+/// with their inputs and totals, the 2PC export phases, dirfrag
 /// split/merge, crash/takeover/replay, dead-letter parking and fault
-/// injections. Because timestamps come from the discrete-event clock and
+/// injections. Each tick's per-target howmuch outcome is recorded once, in
+/// the tick's provenance record (obs/provenance.hpp), which carries the
+/// tick's span. Because timestamps come from the discrete-event clock and
 /// payloads are appended in dispatch order, two identical seeded runs
 /// (faults included) serialize to byte-identical JSON.
 ///
@@ -38,7 +40,6 @@ enum class EventKind : int {
   HeartbeatReceived,  ///< per receiver tick: deliveries since the last one
   WhenDecision,
   WhereDecision,
-  HowmuchDecision,
   ExportStart,
   ExportCommit,
   ExportAbort,
@@ -55,11 +56,10 @@ enum class EventKind : int {
   PolicyRecompile,
   ExportRetry,             ///< aborted 2PC export re-attempted after backoff
   InvariantViolation,      ///< chaos invariant checker caught a violation
-  ProvenanceRecorded,      ///< decision provenance record captured this tick
   // Keep kLastEventKind in sync when appending kinds.
 };
 
-inline constexpr EventKind kLastEventKind = EventKind::ProvenanceRecorded;
+inline constexpr EventKind kLastEventKind = EventKind::InvariantViolation;
 
 const char* event_kind_name(EventKind kind);
 

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
+#include <memory>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -46,11 +46,6 @@ ShadowVerdict shadow_evaluate(const obs::TraceEvents& recorded,
                               const ShadowConfig& cfg) {
   ShadowVerdict v;
 
-  // --- sandboxed candidate ---
-  core::MantleBalancer::Options opt;
-  opt.budget = cfg.budget;
-  core::MantleBalancer probe(policy, opt);
-
   // --- cluster extent from the recording ---
   int max_rank = -1;
   for (const obs::TraceEvent& ev : recorded)
@@ -75,16 +70,27 @@ ShadowVerdict shadow_evaluate(const obs::TraceEvents& recorded,
   std::uint64_t move_seq = 0;
 
   obs::TraceSink shadow_trace;  // the synthetic decision timeline
-  std::uint64_t prev_errors = 0;
 
-  // One hook batch accounted: bumps call/error/budget tallies.
-  const auto account = [&](std::uint64_t calls) {
+  // One sandboxed candidate per recorded rank, created on its first tick
+  // and kept across ticks, so per-rank policy state (WRstate/RDstate, a
+  // Fill & Spill overload streak) evolves in that rank's tick order, as
+  // it would live. `tallied` holds each sandbox's hook errors already
+  // counted into the verdict.
+  std::vector<std::unique_ptr<core::MantleBalancer>> sandboxes(n);
+  std::vector<std::uint64_t> tallied(n, 0);
+  core::MantleBalancer::Options opt;
+  opt.budget = cfg.budget;
+
+  // One hook batch of rank r's sandbox accounted: bumps call/error/budget
+  // tallies.
+  const auto account = [&](std::size_t r, std::uint64_t calls) {
     v.hook_calls += calls;
-    const std::uint64_t now_errors = probe.hook_errors();
-    if (now_errors > prev_errors) {
-      v.hook_errors += now_errors - prev_errors;
-      if (is_budget_error(probe.last_error())) ++v.budget_exhaustions;
-      prev_errors = now_errors;
+    const core::MantleBalancer& sandbox = *sandboxes[r];
+    const std::uint64_t now_errors = sandbox.hook_errors();
+    if (now_errors > tallied[r]) {
+      v.hook_errors += now_errors - tallied[r];
+      if (is_budget_error(sandbox.last_error())) ++v.budget_exhaustions;
+      tallied[r] = now_errors;
     }
   };
 
@@ -110,6 +116,9 @@ ShadowVerdict shadow_evaluate(const obs::TraceEvents& recorded,
     // --- one replayed balancer tick ---
     ++v.ticks_replayed;
     const auto me = static_cast<std::size_t>(ev.rank);
+    if (sandboxes[me] == nullptr)
+      sandboxes[me] = std::make_unique<core::MantleBalancer>(policy, opt);
+    core::MantleBalancer& probe = *sandboxes[me];
 
     ClusterView view;
     view.whoami = ev.rank;
@@ -128,11 +137,11 @@ ShadowVerdict shadow_evaluate(const obs::TraceEvents& recorded,
       view.loads[i] = probe.mdsload(hb);
       view.total_load += view.loads[i];
     }
-    account(n);
+    account(me, n);
 
     const obs::SpanId tick_span = shadow_trace.next_span();
     const bool go = probe.when(view);
-    account(1);
+    account(me, 1);
     shadow_trace.event(ev.at, obs::EventKind::WhenDecision, ev.rank, -1, {},
                        {{"go", go ? 1.0 : 0.0},
                         {"my_load", view.loads[me]},
@@ -141,7 +150,7 @@ ShadowVerdict shadow_evaluate(const obs::TraceEvents& recorded,
     if (!go) continue;
 
     std::vector<double> targets = probe.where(view);
-    account(1);
+    account(me, 1);
     targets.resize(n, 0.0);
     double surviving = 0.0;
     double shipped = 0.0;
@@ -161,7 +170,7 @@ ShadowVerdict shadow_evaluate(const obs::TraceEvents& recorded,
       shadow_trace.record(std::move(we));
     }
     probe.howmuch();
-    account(1);
+    account(me, 1);
 
     // --- shadow exports: move chunks, displace load ---
     // Targets are scaled by the 0.8 `need_min` fudge of the paper's

@@ -20,8 +20,10 @@
 ///
 /// The replay is driven by the recorded timeline (`*.trace.json` dumps
 /// from src/obs): every recorded balancer tick (a `when` event) is
-/// re-run through the candidate's when/where/howmuch hooks in a
-/// sandboxed MantleBalancer, against a *shadow load model*. Per-rank
+/// re-run through the candidate's when/where/howmuch hooks in that
+/// rank's sandboxed MantleBalancer (one per recorded rank, so per-rank
+/// policy state evolves in that rank's tick order, as in what-if
+/// replay), against a *shadow load model*. Per-rank
 /// load evolves from the recorded workload growth (positive
 /// heartbeat-to-heartbeat deltas — arrivals hitting that rank) plus the
 /// candidate's own exports; recorded load *drops* are deliberately

@@ -316,9 +316,6 @@ TEST(Degenerate, EmptyViewNeverMigrates) {
   AdaptableBalancer adapt;
   EXPECT_FALSE(adapt.when(empty));
   EXPECT_TRUE(adapt.where(empty).empty());
-  HashBalancer hash;
-  EXPECT_FALSE(hash.when(empty));
-  EXPECT_TRUE(hash.where(empty).empty());
 }
 
 // Regression: a view can carry a whoami outside [0, size()) — e.g. the
@@ -344,9 +341,6 @@ TEST(Degenerate, OutOfRangeSelfRankIsIgnored) {
     AdaptableBalancer adapt;
     EXPECT_FALSE(adapt.when(v)) << "whoami=" << whoami;
     for (const double t : adapt.where(v)) EXPECT_DOUBLE_EQ(t, 0.0);
-    HashBalancer hash;
-    EXPECT_FALSE(hash.when(v)) << "whoami=" << whoami;
-    for (const double t : hash.where(v)) EXPECT_DOUBLE_EQ(t, 0.0);
   }
 }
 
@@ -360,9 +354,6 @@ TEST(Degenerate, AllIdleClusterStaysQuiet) {
   AdaptableBalancer adapt;
   EXPECT_FALSE(adapt.when(idle));
   for (const double t : adapt.where(idle)) EXPECT_DOUBLE_EQ(t, 0.0);
-  HashBalancer hash;
-  EXPECT_FALSE(hash.when(idle));
-  for (const double t : hash.where(idle)) EXPECT_DOUBLE_EQ(t, 0.0);
 }
 
 TEST(Degenerate, SingleRankClusterNeverExports) {

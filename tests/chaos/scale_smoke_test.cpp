@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_map>
 
 #include "balancers/builtin.hpp"
 #include "chaos/invariant.hpp"
@@ -123,6 +124,20 @@ TEST(ScaleSmoke, ChaosAt512RanksOverTenIntervals) {
   // for every event; per-delivery events filled it many times over.
   EXPECT_EQ(c.config().trace_capacity, cluster::ClusterConfig{}.trace_capacity);
   EXPECT_EQ(c.trace().dropped_events(), 0u);
+  // The provenance record is the one per-target account of a tick, so the
+  // default-capacity recorder keeps every tick, and each record joins the
+  // trace through its span: the span of exactly one `when` event. A go
+  // tick's `where` event carries only its two totals.
+  EXPECT_EQ(c.provenance().dropped(), 0u);
+  EXPECT_GT(c.provenance().size(), 0u);
+  std::unordered_map<obs::SpanId, int> whens;
+  for (const obs::TraceEvent& ev : c.trace().events()) {
+    if (ev.kind == obs::EventKind::WhenDecision) ++whens[ev.span];
+    if (ev.kind == obs::EventKind::WhereDecision)
+      EXPECT_EQ(ev.fields.size(), 2u);
+  }
+  for (const obs::DecisionRecord& rec : c.provenance().records())
+    EXPECT_EQ(whens[rec.span], 1) << "span " << rec.span;
   // Deliveries are not engine events: more heartbeats landed than the
   // engine dispatched events in all.
   obs::MetricsRegistry& m = c.metrics();

@@ -19,10 +19,14 @@
 /// when every heartbeat delivery was still an engine event, and a change to
 /// how heartbeats travel must reproduce them bit for bit, with the stale
 /// guard on and off. The other four dumps of the same runs (trace JSON,
-/// Perfetto, metrics JSON, Prometheus) are pinned the same way; their
-/// digests were taken while every writer still built each number and key as
-/// a temporary string, so a writer that appends in place must reproduce
-/// them byte for byte.
+/// Perfetto, metrics JSON, Prometheus) are pinned the same way; the
+/// metrics digests were taken while every writer still built each number
+/// and key as a temporary string, so a writer that appends in place must
+/// reproduce them byte for byte. The two trace digests were taken again
+/// when the per-target copies left the trace (the `howmuch` events, the
+/// `where` event's `to<rank>` fields and the `provenance-decision`
+/// events); the documents then equalled the earlier ones with those
+/// filtered out.
 ///
 /// Those two runs keep one flat directory, where the order in which a
 /// namespace walk visits frags cannot change a sum. A third pin runs
@@ -182,8 +186,8 @@ TEST(DecisionPin, HeartbeatFaultsWithStaleGuard) {
   EXPECT_GT(p.counters.hb_delayed, 0u);
   EXPECT_GT(p.stale_rejected, 0u);
   expect_digests(p.digests, {.provenance = 0xf678f1a34dd21916ull,
-                             .trace = 0x8abbcf63acab40dcull,
-                             .perfetto = 0xa867e29ecb6316ccull,
+                             .trace = 0xe9566359b0aa55acull,
+                             .perfetto = 0x6a6fa8c6ff9e7d18ull,
                              .metrics = 0xc331e3fedfc7711cull,
                              .prometheus = 0xa59cb3592068ccecull});
 }
@@ -194,8 +198,8 @@ TEST(DecisionPin, HeartbeatFaultsWithoutStaleGuard) {
   EXPECT_EQ(p.counters.crashes, 1u);
   EXPECT_EQ(p.stale_rejected, 0u);
   expect_digests(p.digests, {.provenance = 0x0acd4d60d6cff654ull,
-                             .trace = 0x96471a78bd1c3dedull,
-                             .perfetto = 0xc7253141f7ba7a0bull,
+                             .trace = 0x2fb05db9a4e7caf9ull,
+                             .perfetto = 0x5e4dceadf92f9cafull,
                              .metrics = 0x84c132417e39c573ull,
                              .prometheus = 0x27a4d37ae73521c1ull});
 }
@@ -206,8 +210,8 @@ TEST(DecisionPin, NestedCompileTreesWithTakeover) {
   EXPECT_EQ(p.takeovers, 1u);
   EXPECT_EQ(p.nested_dirs, 2 + 6 * (2 + workloads::compile_tree_spec().size()));
   expect_digests(p.digests, {.provenance = 0xd53d507196d91212ull,
-                             .trace = 0x4ca4fe975821ae94ull,
-                             .perfetto = 0x40cd1e5b09718500ull,
+                             .trace = 0x7670f892b2dad10cull,
+                             .perfetto = 0x701adecfc7ad41d1ull,
                              .metrics = 0x985c1b7150f79c66ull,
                              .prometheus = 0xcd641eb93c29d457ull});
 }

@@ -68,11 +68,11 @@ TEST(JsonEscape, EveryAsciiByteReadsBackUnchanged) {
 }
 
 TEST(JsonEscape, ShortEscapesAndLowerHexForOtherControlBytes) {
-  EXPECT_EQ(json_escape("plain text"), "plain text");
-  EXPECT_EQ(json_escape("\"\\\n\r\t"), "\\\"\\\\\\n\\r\\t");
-  EXPECT_EQ(json_escape(std::string("\0\x01\x08\x0c\x1b\x1f", 6)),
-            "\\u0000\\u0001\\u0008\\u000c\\u001b\\u001f");
-  EXPECT_EQ(json_escape("/\x7f\xc3\xa9"), "/\x7f\xc3\xa9");
+  EXPECT_EQ(json_string("plain text"), "\"plain text\"");
+  EXPECT_EQ(json_string("\"\\\n\r\t"), "\"\\\"\\\\\\n\\r\\t\"");
+  EXPECT_EQ(json_string(std::string("\0\x01\x08\x0c\x1b\x1f", 6)),
+            "\"\\u0000\\u0001\\u0008\\u000c\\u001b\\u001f\"");
+  EXPECT_EQ(json_string("/\x7f\xc3\xa9"), "\"/\x7f\xc3\xa9\"");
   EXPECT_EQ(json_string("a\"b"), "\"a\\\"b\"");
 }
 

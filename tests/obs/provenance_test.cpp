@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -195,8 +196,16 @@ TEST(ProvenanceDeterminism, SameSeedDumpsAreByteIdentical) {
   const ProvDump a = run_scenario(7, /*faulty=*/false);
   const ProvDump b = run_scenario(7, /*faulty=*/false);
   EXPECT_GT(a.records, 0u);
-  EXPECT_NE(a.trace_json.find("\"kind\":\"provenance-decision\""),
-            std::string::npos);
+  // The join: each record's span is the span of exactly one `when` event,
+  // its tick's.
+  std::map<SpanId, int> whens;
+  for (const TraceEvent& ev : parse_trace_json(a.trace_json))
+    if (ev.kind == EventKind::WhenDecision) ++whens[ev.span];
+  const std::vector<DecisionRecord> recs =
+      parse_provenance_json(a.provenance_json);
+  ASSERT_EQ(recs.size(), a.records);
+  for (const DecisionRecord& rec : recs)
+    EXPECT_EQ(whens[rec.span], 1) << "span " << rec.span;
   EXPECT_NE(a.metrics_json.find("mantle_provenance_records_total"),
             std::string::npos);
   // The profiler's own series never reach the deterministic exports.
@@ -240,12 +249,24 @@ std::string read_data_file(const std::string& name) {
 
 TEST(ProvenanceExplain, GoldenMiniDump) {
   // The committed mini-dump pins both the dump format (it must still
-  // parse) and the narrative rendering, byte for byte.
+  // parse) and the narrative rendering, byte for byte. Its trace also
+  // holds two `provenance-decision` events, a kind no longer written:
+  // the parser skips them, and the narrative joins records to their
+  // migrations by span alone.
   const auto records = parse_provenance_json(read_data_file(
       "mini.provenance.json"));
   ASSERT_EQ(records.size(), 2u);
-  const auto events = parse_trace_json(read_data_file("mini.trace.json"));
-  ASSERT_FALSE(events.empty());
+  const std::string trace = read_data_file("mini.trace.json");
+  std::size_t retired = 0;
+  for (std::size_t at = trace.find("\"kind\":\"provenance-decision\"");
+       at != std::string::npos;
+       at = trace.find("\"kind\":\"provenance-decision\"", at + 1))
+    ++retired;
+  EXPECT_EQ(retired, 2u);
+  const auto events = parse_trace_json(trace);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, EventKind::ExportStart);
+  EXPECT_EQ(events[1].kind, EventKind::ExportCommit);
   EXPECT_EQ(render_explain(records, events, {}),
             read_data_file("mini.explain.txt"));
 }

@@ -169,7 +169,7 @@ TEST(Trace, DetailEscapesEveryByteClassExactly) {
 TEST(Trace, FieldNumbersKeepTheirSpellings) {
   const double inf = std::numeric_limits<double>::infinity();
   TraceSink sink;
-  sink.event(4, EventKind::HowmuchDecision, 0, -1, "",
+  sink.event(4, EventKind::HeartbeatSent, 0, -1, "",
              {{"neg_zero", -0.0},
               {"inf", inf},
               {"neg_inf", -inf},
@@ -185,12 +185,12 @@ TEST(Trace, FieldNumbersKeepTheirSpellings) {
       "\"above_1e15\":1000000000000000.1,\"two53\":9007199254740992,"
       "\"subnormal\":4.9406564584124654e-324";
   EXPECT_EQ(sink.to_json(),
-            "[{\"t_us\":4,\"kind\":\"howmuch\",\"rank\":0,\"fields\":{" +
+            "[{\"t_us\":4,\"kind\":\"hb-sent\",\"rank\":0,\"fields\":{" +
                 fields + "}}]");
   EXPECT_EQ(sink.to_perfetto(),
             perfetto_head(0) +
                 ",{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"mantle\","
-                "\"name\":\"howmuch\",\"ts\":4,\"pid\":0,\"tid\":1,"
+                "\"name\":\"hb-sent\",\"ts\":4,\"pid\":0,\"tid\":1,"
                 "\"args\":{" + fields + "}}]}");
 }
 
@@ -239,19 +239,14 @@ TEST(Trace, PerfettoMigrationPairsExactly) {
 }
 
 TEST(Trace, WhereEventKeepsItsPerTargetKeys) {
+  // A go tick's `where` event, built as MdsNode::tick builds it: the
+  // count and sum of the positive targets and nothing per target (the
+  // targets and each target's shipment are in the provenance record).
   TraceSink sink;
-  TraceEvent ev;
-  ev.at = 5000000;
-  ev.kind = EventKind::WhereDecision;
-  ev.rank = 2;
-  ev.span = 7;
-  ev.fields = {{"targets_total", 2.0},
-               {"shipped_total", 12.5},
-               {"to0", 10.0},
-               {"to17", 2.5}};
-  sink.record(std::move(ev));
-  const std::string fields =
-      "\"targets_total\":2,\"shipped_total\":12.5,\"to0\":10,\"to17\":2.5";
+  sink.event(5000000, EventKind::WhereDecision, 2, -1, {},
+             {{"targets_total", 2.0}, {"shipped_total", 12.5}}, 7);
+  ASSERT_EQ(sink.events().front().fields.size(), 2u);
+  const std::string fields = "\"targets_total\":2,\"shipped_total\":12.5";
   EXPECT_EQ(sink.to_json(),
             "[{\"t_us\":5000000,\"kind\":\"where\",\"rank\":2,\"span\":7,"
             "\"fields\":{" + fields + "}}]");

@@ -88,6 +88,33 @@ TEST(ShadowTest, ThrashPolicyRejected) {
   EXPECT_NE(v.reason.find("thrash"), std::string::npos) << v.reason;
 }
 
+TEST(ShadowTest, FillSpillKeepsEachRanksOverloadStreak) {
+  // Listing 3 spills after three straight overloaded ticks of the same
+  // rank, counted in that rank's WRstate. Here an overloaded rank 0 (cpu
+  // above the 48% threshold) and a cool rank 1 tick in turn. Each rank's
+  // sandbox keeps its own streak, so rank 0 spills on its third tick; a
+  // sandbox shared by both ranks would see the streak reset by every
+  // rank-1 tick and never spill.
+  obs::TraceSink sink;
+  double hot = 0.0;
+  for (int k = 0; k < 10; ++k) {
+    const Time t = static_cast<Time>(k + 1) * 1'000'000;
+    hot += 10.0;
+    sink.event(t, EventKind::HeartbeatSent, 0, -1, {},
+               {{"load", hot}, {"cpu", 60.0}});
+    sink.event(t, EventKind::HeartbeatSent, 1, -1, {},
+               {{"load", 0.0}, {"cpu", 5.0}});
+    sink.event(t + 1000, EventKind::WhenDecision, 0, -1, {}, {{"go", 0.0}});
+    sink.event(t + 2000, EventKind::WhenDecision, 1, -1, {}, {{"go", 0.0}});
+  }
+  core::MantlePolicy p;
+  ASSERT_EQ(load_policy("fill_spill", p), "");
+  const ShadowVerdict v = shadow_evaluate(sink.events(), p);
+  EXPECT_TRUE(v.accepted) << v.reason;
+  EXPECT_EQ(v.ticks_replayed, 20u);
+  EXPECT_GT(v.exports, 0u);
+}
+
 TEST(ShadowTest, InputDependentLoopRejectedOnBudget) {
   // Loops unconditionally once replayed — the budget backstop must
   // convert that into a rejection rather than a hang.

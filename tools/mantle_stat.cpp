@@ -115,8 +115,8 @@ void usage(std::FILE* to) {
       "invariant violations, written to --repro-out if given.\n"
       "\n"
       "--chaos runs the deterministic chaos engine: randomized fault\n"
-      "schedules (crash/restart, heartbeat drop/dup/delay windows, store\n"
-      "faults) against simulated scenarios with cluster-wide invariant\n"
+      "schedules (crash/restart, heartbeat drop/dup/delay windows)\n"
+      "against simulated scenarios with cluster-wide invariant\n"
       "checking every tick; violating schedules are delta-debugged to\n"
       "minimal reproducers (--repro-out). --scenario takes a comma list of\n"
       "create-heavy,compile,fault-recovery (default: all three, round-\n"
