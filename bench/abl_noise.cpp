@@ -13,7 +13,10 @@ using namespace mantle;
 
 int main(int argc, char** argv) {
   const bool quick = bench::quick_mode(argc, argv);
-  const std::size_t files = quick ? 6000 : 25000;
+  // Quick runs last about 7 simulated seconds, 7 balancer ticks: Fill &
+  // Spill holds for three overloaded ticks before it spills, so a run of
+  // fewer than five ticks never migrates at any noise level.
+  const std::size_t files = quick ? 15000 : 25000;
   const std::vector<std::uint64_t> seeds = {11, 12, 13, 14, 15, 16};
 
   std::printf("# Ablation: CPU measurement noise vs Fill & Spill stability\n");

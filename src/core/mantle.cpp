@@ -69,6 +69,24 @@ const std::vector<std::string>& when_inputs() {
   return v;
 }
 
+/// What a view bind leaves for `where`, as lua::lower_chunk reads it,
+/// with the scalars in the order run_lowered_where() passes them. A
+/// `where` may not assign what the host writes: the bound globals and
+/// the `when` flags.
+const lua::ViewBinding& where_binding() {
+  static const lua::ViewBinding b = [] {
+    lua::ViewBinding v;
+    v.scalars = {"whoami", "total", "authmetaload", "allmetaload"};
+    v.rows = "MDSs";
+    v.fields.assign(std::begin(kRowFields), std::end(kRowFields));
+    v.targets = "targets";
+    v.reserved = {"i",     "IRD", "IWR", "READDIR", "FETCH",
+                  "STORE", "go",  "__go"};
+    return v;
+  }();
+  return b;
+}
+
 /// Make `cell` hold table `t`, skipping the store (and its reference-count
 /// traffic) when it already does.
 void point_at(Value& cell, const lua::TablePtr& t) {
@@ -82,51 +100,68 @@ std::array<double, 8> row_values(const HeartbeatPayload& hb, double load,
           hb.queue_len,     hb.req_rate,     load,       alive};
 }
 
-/// Read the `targets` table a hook produced into a dense rank-indexed
-/// vector, defending the mechanism against policy bugs: non-finite and
-/// negative entries clamp to 0, fractional or out-of-range indices are
-/// ignored, and every such occurrence is a counted hook error. The
-/// mechanism must never export load because a policy emitted NaN.
-std::vector<double> sanitize_targets(const Value& targets, std::size_t n,
-                                     const char* hook,
-                                     std::uint64_t& hook_errors,
-                                     std::string& last_error,
-                                     obs::Counter* sanitized) {
-  const auto note = [&] {
+/// Reads the targets a hook produced into a dense rank-indexed vector,
+/// defending the mechanism against policy bugs: non-finite and negative
+/// entries clamp to 0, fractional or out-of-range indices are ignored,
+/// and every such occurrence is a counted hook error. The mechanism must
+/// never export load because a policy emitted NaN.
+struct TargetSanitizer {
+  const char* hook;
+  std::uint64_t& hook_errors;
+  std::string& last_error;
+  obs::Counter* sanitized;
+
+  /// A `targets` table left by interpreted code, over n ranks.
+  std::vector<double> table(const Value& targets, std::size_t n) {
+    std::vector<double> out(n, 0.0);
+    if (!targets.is_table()) return out;
+    const lua::TablePtr t = targets.table();
+    for (const auto& [key, val] : t->num_keys) {
+      if (!std::isfinite(key) || key != std::floor(key) || key < 1.0 ||
+          key > static_cast<double>(n)) {
+        note("targets index out of range");
+        MANTLE_LOG_WARN(
+            "mantle %s hook: ignoring targets[%g] (valid: 1..%zu)", hook, key,
+            n);
+        continue;
+      }
+      put(out, key, val.to_number().value_or(0.0));
+    }
+    for (const auto& [key, val] : t->str_keys) {
+      (void)val;
+      note("string key in targets");
+      MANTLE_LOG_WARN("mantle %s hook: ignoring targets[\"%s\"]", hook,
+                      key.c_str());
+    }
+    return out;
+  }
+
+  /// The n targets a lowered hook wrote at keys 1..n, in key order.
+  std::vector<double> dense(const std::vector<double>& targets) {
+    std::vector<double> out(targets.size(), 0.0);
+    for (std::size_t i = 0; i < targets.size(); ++i)
+      put(out, static_cast<double>(i + 1), targets[i]);
+    return out;
+  }
+
+ private:
+  void note(const char* what) {
     ++hook_errors;
     if (sanitized != nullptr) sanitized->inc();
-  };
-  std::vector<double> out(n, 0.0);
-  if (!targets.is_table()) return out;
-  const lua::TablePtr t = targets.table();
-  for (const auto& [key, val] : t->num_keys) {
-    if (!std::isfinite(key) || key != std::floor(key) || key < 1.0 ||
-        key > static_cast<double>(n)) {
-      note();
-      last_error = std::string(hook) + ": targets index out of range";
-      MANTLE_LOG_WARN("mantle %s hook: ignoring targets[%g] (valid: 1..%zu)",
-                      hook, key, n);
-      continue;
-    }
-    const double x = val.to_number().value_or(0.0);
+    last_error = std::string(hook) + ": " + what;
+  }
+
+  /// out[key-1] = x, or count x and leave 0 there.
+  void put(std::vector<double>& out, double key, double x) {
     if (!std::isfinite(x) || x < 0.0) {
-      note();
-      last_error = std::string(hook) + ": non-finite or negative target";
+      note("non-finite or negative target");
       MANTLE_LOG_WARN("mantle %s hook: clamping targets[%g]=%g to 0", hook,
                       key, x);
-      continue;  // out[key-1] stays 0
+      return;
     }
     out[static_cast<std::size_t>(key) - 1] = x;
   }
-  for (const auto& [key, val] : t->str_keys) {
-    (void)val;
-    note();
-    last_error = std::string(hook) + ": string key in targets";
-    MANTLE_LOG_WARN("mantle %s hook: ignoring targets[\"%s\"]", hook,
-                    key.c_str());
-  }
-  return out;
-}
+};
 
 }  // namespace
 
@@ -198,6 +233,8 @@ const MantleBalancer::HookProgram& MantleBalancer::program(
   p.source = src;
   p.lowered.reset();
   p.lowered_then.reset();
+  p.lowered_chunk.reset();
+  p.lowered_list.reset();
   p.is_expr = false;
   p.then_style = false;
   const char* name = kHookNames[h];
@@ -232,11 +269,13 @@ const MantleBalancer::HookProgram& MantleBalancer::program(
     case kWhere:
       p.chunk = lua::compile(src, name);
       ++cache_stats_.parses;
+      p.lowered_chunk = lua::lower_chunk(p.chunk, where_binding());
       break;
     case kHowmuch:
     default:
       p.chunk = lua::compile_expr(src, name);
       ++cache_stats_.parses;
+      p.lowered_list = lua::lower_list(p.chunk, opt_.budget);
       break;
   }
   p.compiled = true;
@@ -292,6 +331,9 @@ bool MantleBalancer::is_lowered(const std::string& key) const {
   if (key == "mds_bal_metaload") return programs_[kMetaload].lowered.has_value();
   if (key == "mds_bal_mdsload") return programs_[kMdsload].lowered.has_value();
   if (key == "mds_bal_when") return programs_[kWhen].lowered_then.has_value();
+  if (key == "mds_bal_where") return programs_[kWhere].lowered_chunk.has_value();
+  if (key == "mds_bal_howmuch")
+    return programs_[kHowmuch].lowered_list.has_value();
   return false;
 }
 
@@ -390,20 +432,22 @@ cluster::Balancer::EvalStats MantleBalancer::eval_stats() const {
 // Hook environments: written on demand, rebuilt only when reshaped
 // ---------------------------------------------------------------------------
 
-void MantleBalancer::RowCache::update(const RowValues& values) {
+void MantleBalancer::RowCache::update(const double* values) {
   // Intact = the exact eight canonical fields and no erasures since the
   // cell pointers were taken. A policy that reshaped the row (added or
   // nilled keys) gets a fresh row next tick, matching the old
   // table-per-tick behavior.
   const bool intact = row != nullptr && row->erase_version == version &&
-                      row->str_keys.size() == 8 && row->num_keys.empty();
+                      row->str_keys.size() == kFields &&
+                      row->num_keys.empty();
   if (!intact) {
     if (row == nullptr) row = lua::make_table();
     else row->clear();
-    for (int f = 0; f < 8; ++f) cells[f] = row->slot_str(kRowFields[f]);
+    for (std::size_t f = 0; f < kFields; ++f)
+      cells[f] = row->slot_str(kRowFields[f]);
     version = row->erase_version;
   }
-  for (int f = 0; f < 8; ++f) *cells[f] = Value(values[f]);
+  for (std::size_t f = 0; f < kFields; ++f) *cells[f] = Value(values[f]);
 }
 
 Value& MantleBalancer::global(Bound g) const {
@@ -481,7 +525,7 @@ void MantleBalancer::bind_solo(std::size_t slot, double idx,
     se.version = se.mdss->erase_version;
     se.idx = idx;
   }
-  se.row.update(row);
+  se.row.update(row.data());
   point_at(*se.cell, se.row.row);
   point_at(global(kMDSs), se.mdss);
 }
@@ -493,15 +537,19 @@ void MantleBalancer::stage_view(const ClusterView& view) {
   Pending& p = pending_;
   // A pending bind of another size is not superseded: it would drop or
   // refresh row tables this one keeps, and interpreted code may hold them.
-  if (p.view && p.rows.size() != n) apply_view();
+  // Its `targets` values are superseded either way: this bind overwrites
+  // every cell of the same table before anything can read one.
+  if (p.view && p.targets.size() != n) apply_view();
   p.view = true;
   p.row = false;  // the bind repoints MDSs
-  p.rows.resize(n);
+  p.rows.resize(n * kFields);
+  p.targets.assign(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     // Defensive: a foreign/replayed view may carry fewer loads than ranks.
     const double load = i < view.loads.size() ? view.loads[i] : 0.0;
-    p.rows[i] =
+    const RowValues row =
         row_values(view.mdss[i], load, view.is_alive(i) ? 1.0 : 0.0);
+    std::copy(row.begin(), row.end(), p.rows.begin() + i * kFields);
   }
   const HeartbeatPayload& me = view.mdss[static_cast<std::size_t>(view.whoami)];
   p.whoami = static_cast<double>(view.whoami + 1);
@@ -526,11 +574,12 @@ void MantleBalancer::flush() const {
     lua_.set_global("go", Value{});
     lua_.set_global("__go", Value(pending_.go_flag));
   }
+  for (const auto& [name, v] : pending_.globals) lua_.set_global(name, Value(v));
+  pending_.globals.clear();
 }
 
 void MantleBalancer::apply_view() const {
-  const std::vector<RowValues>& rows = pending_.rows;
-  const std::size_t n = rows.size();
+  const std::size_t n = pending_.targets.size();
   ViewEnv& env = view_env_;
   if (env.mdss == nullptr) {
     env.mdss = lua::make_table();
@@ -553,12 +602,13 @@ void MantleBalancer::apply_view() const {
   }
   for (std::size_t i = 0; i < n; ++i) {
     RowCache& rc = env.rows[i];
-    rc.update(rows[i]);
+    rc.update(&pending_.rows[i * kFields]);
     // Heal MDSs[i] if a policy overwrote the container cell itself.
     point_at(*env.mdss_cells[i], rc.row);
   }
 
-  // targets: same table every tick, cells reset to 0.
+  // targets: same table every tick, cells reset to 0 or to what a lowered
+  // `where` wrote.
   const bool targets_intact = env.target_cells.size() == n &&
                               env.targets->erase_version ==
                                   env.targets_version &&
@@ -571,7 +621,8 @@ void MantleBalancer::apply_view() const {
       env.target_cells[i] = env.targets->slot_num(static_cast<double>(i + 1));
     env.targets_version = env.targets->erase_version;
   }
-  for (std::size_t i = 0; i < n; ++i) *env.target_cells[i] = Value(0.0);
+  for (std::size_t i = 0; i < n; ++i)
+    *env.target_cells[i] = Value(pending_.targets[i]);
 
   // Globals are rebound every tick: a policy may have replaced them.
   point_at(global(kMDSs), env.mdss);
@@ -604,9 +655,10 @@ bool MantleBalancer::when(const ClusterView& view) {
     // The inputs are the values the staged bind writes: that bind leaves
     // MDSs holding exactly the keys 1..n, and `targets` as n zeros, which
     // is what pending_targets_ already holds.
-    const RowValues& me = pending_.rows[static_cast<std::size_t>(view.whoami)];
+    const double* me =
+        &pending_.rows[static_cast<std::size_t>(view.whoami) * kFields];
     double in[kNumWhenInputs];
-    std::copy(me.begin(), me.end(), in);
+    std::copy(me, me + kFields, in);
     in[8] = pending_.whoami;
     in[9] = pending_.total;
     in[10] = pending_.auth_metaload;
@@ -659,8 +711,8 @@ bool MantleBalancer::when(const ClusterView& view) {
   // A combined hook may have filled targets directly (Listings 1-2 style).
   const std::uint64_t errs = hook_errors_;
   pending_targets_ =
-      sanitize_targets(lua_.get_global("targets"), view.size(), "when",
-                       hook_errors_, last_error_, sanitized_);
+      TargetSanitizer{"when", hook_errors_, last_error_, sanitized_}.table(
+          lua_.get_global("targets"), view.size());
   for (const double x : pending_targets_)
     if (x > 0.0) when_filled_targets_ = true;
   note_hook(kWhen, hook_errors_ != errs);
@@ -680,8 +732,17 @@ std::vector<double> MantleBalancer::where(const ClusterView& view) {
     if (sanitized_ != nullptr) sanitized_->inc();
     return std::vector<double>(view.size(), 0.0);
   }
-  stage_view(view);  // run() flushes it: the tick's one bind
-  lua::RunResult r = run(program(kWhere, policy_.where));
+  stage_view(view);
+  const HookProgram& prog = program(kWhere, policy_.where);
+  if (prog.lowered_chunk && run_lowered_where(*prog.lowered_chunk)) {
+    const std::uint64_t errs = hook_errors_;
+    std::vector<double> out =
+        TargetSanitizer{"where", hook_errors_, last_error_, sanitized_}.dense(
+            pending_.targets);
+    note_hook(kWhere, hook_errors_ != errs);
+    return out;
+  }
+  lua::RunResult r = run(prog);  // flushes the staged bind: the tick's one
   if (!r.ok) {
     ++hook_errors_;
     last_error_ = r.error;
@@ -691,16 +752,48 @@ std::vector<double> MantleBalancer::where(const ClusterView& view) {
   }
   const std::uint64_t errs = hook_errors_;
   std::vector<double> out =
-      sanitize_targets(lua_.get_global("targets"), view.size(), "where",
-                       hook_errors_, last_error_, sanitized_);
+      TargetSanitizer{"where", hook_errors_, last_error_, sanitized_}.table(
+          lua_.get_global("targets"), view.size());
   note_hook(kWhere, hook_errors_ != errs);
   return out;
+}
+
+bool MantleBalancer::run_lowered_where(const lua::ChunkProgram& lp) const {
+  Pending& p = pending_;
+  const double scalars[] = {p.whoami, p.total, p.auth_metaload,
+                            p.all_metaload};
+  double values[lua::ChunkProgram::kMaxGlobals];
+  const lua::ChunkProgram::Result r =
+      lp.run(scalars, p.rows.data(), p.targets.size(), p.targets.data(),
+             values, opt_.budget);
+  if (!r.finished) {
+    // The interpreter runs the chunk instead, and fails as it always has.
+    std::fill(p.targets.begin(), p.targets.end(), 0.0);
+    return false;
+  }
+  for (std::size_t g = 0; g < lp.globals.size(); ++g) {
+    if ((r.assigned >> g & 1) == 0) continue;
+    const std::string& name = lp.globals[g];
+    const auto it = std::find_if(p.globals.begin(), p.globals.end(),
+                                 [&](const auto& w) { return w.first == name; });
+    if (it == p.globals.end()) p.globals.emplace_back(name, values[g]);
+    else it->second = values[g];
+  }
+  last_steps_ = r.steps;
+  return true;
 }
 
 std::vector<std::string> MantleBalancer::howmuch() const {
   obs::ScopedPhase prof(obs::ProfilePhase::HookEval);
   if (policy_.howmuch.empty()) return {"big_first"};
-  lua::RunResult r = run(program(kHowmuch, policy_.howmuch));
+  const HookProgram& prog = program(kHowmuch, policy_.howmuch);
+  if (prog.lowered_list) {
+    last_steps_ = prog.lowered_list->steps;
+    note_hook(kHowmuch, false);
+    if (prog.lowered_list->items.empty()) return {"big_first"};
+    return prog.lowered_list->items;
+  }
+  lua::RunResult r = run(prog);
   note_hook(kHowmuch, !r.ok);
   if (!r.ok || !r.first().is_table()) {
     if (!r.ok) {

@@ -41,11 +41,17 @@
 /// does and no separate `where` hook is set, those targets are used.
 ///
 /// The host writes these globals only when interpreted code can read
-/// them. A lowered hook (a load hook, or Table 1's `when`) reads the
-/// doubles it is handed, so the writes it stands for wait as pending
-/// writes and are made, in the order they were recorded, just before the
-/// next interpreted hook runs. Every interpreted hook sees exactly the
-/// state it would have seen had every write been made at once.
+/// them. A lowered hook reads the doubles it is handed, so the writes it
+/// stands for, and the ones it makes, wait as pending writes and are made,
+/// in the order they were recorded, just before the next interpreted hook
+/// runs. Every interpreted hook sees exactly the state it would have seen
+/// had every write been made at once. The lowered hooks are the load
+/// hooks that are arithmetic over their inputs, a then-style `when` that
+/// compares such arithmetic, a `where` chunk of loops, branches and
+/// assignments over the view, and a `howmuch` that lists string literals
+/// (lua/lower.hpp). Table 1 lowers all five, so under it no hook runs on
+/// the interpreter, and the only Lua state written is the pop-counter
+/// globals and `i`, which the load hooks write at once.
 ///
 /// MDSs[i]["alive"] is 1 for ranks heartbeating normally and 0 for ranks
 /// the laggy-peer detector has written off (heartbeat older than three
@@ -149,8 +155,10 @@ class MantleBalancer final : public cluster::Balancer {
   const PolicyCacheStats& cache_stats() const { return cache_stats_; }
 
   /// True if the hook injected under `key` ("mds_bal_metaload",
-  /// "mds_bal_mdsload" or "mds_bal_when") runs as a lowered numeric
-  /// program instead of on the interpreter (see HookProgram::lowered).
+  /// "mds_bal_mdsload", "mds_bal_when", "mds_bal_where" or
+  /// "mds_bal_howmuch") runs as a lowered program instead of on the
+  /// interpreter (see HookProgram). A lowered `where` still runs on the
+  /// interpreter on a call whose steps would pass the budget.
   bool is_lowered(const std::string& key) const;
 
   /// Cumulative evaluation cost for the provenance recorder. Always
@@ -172,15 +180,20 @@ class MantleBalancer final : public cluster::Balancer {
   /// is handed instead of through the interpreter. So is a then-style
   /// `when` whose condition compares such arithmetic over the caller's
   /// row, whoami, total, authmetaload, allmetaload and #MDSs (Table 1's),
-  /// to `lowered_then`. Value, steps charged and the Lua state later
-  /// hooks see are the same either way (docs/PERFORMANCE.md, "Load hooks
-  /// without the interpreter" and "Hook environments on demand"); `chunk`
-  /// still backs every other hook and anything the lowering declines.
+  /// to `lowered_then`; a `where` chunk within lua::lower_chunk's subset
+  /// (Table 1's) to `lowered_chunk`; and a `howmuch` constructor of string
+  /// literals to `lowered_list`. Value, steps charged and the Lua state
+  /// later hooks see are the same either way (docs/PERFORMANCE.md, "Load
+  /// hooks without the interpreter", "Hook environments on demand" and
+  /// "Table 1 without the interpreter"); `chunk` still backs every other
+  /// hook and anything the lowering declines.
   struct HookProgram {
     std::string source;        // what was compiled (cache key)
     lua::CompiledChunk chunk;  // ready-to-run AST (or compile error)
-    std::optional<lua::NumProgram> lowered;        // metaload, mdsload
-    std::optional<lua::ThenProgram> lowered_then;  // when
+    std::optional<lua::NumProgram> lowered;         // metaload, mdsload
+    std::optional<lua::ThenProgram> lowered_then;   // when
+    std::optional<lua::ChunkProgram> lowered_chunk;  // where
+    std::optional<lua::ListProgram> lowered_list;   // howmuch
     bool is_expr = false;      // compiled via compile_expr()
     bool then_style = false;   // when-hook "if <cond> then" fragment
     bool compiled = false;
@@ -193,7 +206,8 @@ class MantleBalancer final : public cluster::Balancer {
   };
 
   /// The eight MDSs[i] fields: auth all cpu mem q req load alive.
-  using RowValues = std::array<double, 8>;
+  static constexpr std::size_t kFields = 8;
+  using RowValues = std::array<double, kFields>;
 
   /// One MDSs[i] row reused across ticks: the table plus stable pointers
   /// to its eight value cells. Rebuilt only if a policy changed the row's
@@ -201,9 +215,10 @@ class MantleBalancer final : public cluster::Balancer {
   struct RowCache {
     lua::TablePtr row;
     std::uint32_t version = 0;
-    lua::Value* cells[8] = {};  // auth all cpu mem q req load alive
+    lua::Value* cells[kFields] = {};  // auth all cpu mem q req load alive
 
-    void update(const RowValues& values);
+    /// Write the kFields values at `values`.
+    void update(const double* values);
   };
 
   /// The when/where hook environment, built on the first bind that is
@@ -241,19 +256,25 @@ class MantleBalancer final : public cluster::Balancer {
   /// inline (pushed_ remembers what the registry has already seen).
   void sync_cache_counters() const;
 
-  /// Lua-state writes that lowered hooks stand for and no interpreted
-  /// code has read yet, held as values (never pointers into a caller's
-  /// view). A later view bind of the same size drops a pending view bind,
-  /// and any later repoint of MDSs drops a pending unseen row; nothing
-  /// else is dropped. Only those two kinds write the same state
-  /// (the global MDSs), and a view bind drops an earlier row, so flush()'s
-  /// fixed order (view, row, go flags) is the order they were recorded in.
+  /// Lua-state writes that lowered hooks stand for, or made, and no
+  /// interpreted code has read yet, held as values (never pointers into a
+  /// caller's view). A later view bind of the same size drops a pending
+  /// view bind, with the `targets` values a lowered `where` wrote into it,
+  /// since its zeros overwrite them; any later repoint of MDSs drops a
+  /// pending unseen row; a later `where` global of the same name drops
+  /// the earlier one. Nothing else is dropped. Of different kinds, only a
+  /// view bind and a row write the same state (the global MDSs), and a
+  /// view bind drops an earlier row. A `where` global is never a name the
+  /// host writes, so flush()'s fixed order (view, row, go flags, `where`
+  /// globals) is as good as the order they were recorded in.
   struct Pending {
-    /// A view bind: the MDSs rows, the container and n zeroed `targets`,
-    /// and the globals MDSs, targets, whoami, total, authmetaload and
-    /// allmetaload.
+    /// A view bind: the MDSs rows, the container and n `targets`, and the
+    /// globals MDSs, targets, whoami, total, authmetaload and allmetaload.
     bool view = false;
-    std::vector<RowValues> rows;
+    std::vector<double> rows;  // n rows of kFields values, row-major
+    /// What the bind writes into `targets`: zeros, and the values of the
+    /// cells a lowered `where` assigned since.
+    std::vector<double> targets;
     double whoami = 0.0;
     double total = 0.0;
     double auth_metaload = 0.0;
@@ -267,6 +288,8 @@ class MantleBalancer final : public cluster::Balancer {
     /// `go = nil` and `__go = go_flag`, from a lowered `when`.
     bool go = false;
     double go_flag = 0.0;
+    /// The globals lowered `where` runs assigned, with their latest values.
+    std::vector<std::pair<std::string, double>> globals;
   };
 
   /// Global `g`'s value cell, for writing a non-nil value without
@@ -279,6 +302,10 @@ class MantleBalancer final : public cluster::Balancer {
   void flush() const;
   /// Write the pending view bind into view_env_ and the globals.
   void apply_view() const;
+  /// Run `where`'s lowered program over the staged view bind, recording
+  /// the targets and globals it assigned as pending writes. False, with
+  /// nothing recorded, if its steps would pass the budget.
+  bool run_lowered_where(const lua::ChunkProgram& lp) const;
   /// Point MDSs at rank slot `slot`'s single-row table, holding `row` at
   /// index `idx` (the mdsload environment).
   void bind_solo(std::size_t slot, double idx, const RowValues& row) const;

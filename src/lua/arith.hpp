@@ -31,10 +31,18 @@ inline double arith(BinOp op, double a, double b) {
 /// True for the four ordering comparisons: < <= > >=.
 constexpr bool is_order(BinOp op) { return op >= BinOp::Lt && op <= BinOp::Ge; }
 
-/// `a op b` for an operator with is_order(op). Any comparison with NaN is
-/// false.
+/// True for the six comparisons: == ~= < <= > >=.
+constexpr bool is_compare(BinOp op) {
+  return op >= BinOp::Eq && op <= BinOp::Ge;
+}
+
+/// `a op b` for an operator with is_compare(op). Any comparison with NaN is
+/// false but `~=`, and the zeros of either sign are equal; `==` and `~=`
+/// over two numbers are what Value::equals makes of them.
 inline bool compare(BinOp op, double a, double b) {
   switch (op) {
+    case BinOp::Eq: return a == b;
+    case BinOp::Ne: return a != b;
     case BinOp::Lt: return a < b;
     case BinOp::Le: return a <= b;
     case BinOp::Gt: return a > b;

@@ -1,11 +1,13 @@
 /// MantleBalancer writes Lua state only when interpreted code can read it
-/// (docs/PERFORMANCE.md, "Hook environments on demand"). This test drives
-/// it and EagerBalancer, a test-only copy of the eager environment code it
-/// replaced, through the same seeded random calls, with probe policies
-/// whose interpreted hooks dump everything the host binds, stash tables
-/// in globals and read them back later, and overwrite or nil rows and
-/// container cells. After every call the two must agree on the return
-/// value, the probe's readout, the hook errors, last_error(),
+/// (docs/PERFORMANCE.md, "Hook environments on demand" and "Table 1
+/// without the interpreter"). This test drives it and EagerBalancer, a
+/// test-only copy of the eager environment code it replaced, which runs
+/// every `when`, `where` and `howmuch` on the interpreter, through the
+/// same seeded random calls, with probe policies whose interpreted hooks
+/// dump everything the host binds and a lowered `where` assigns, stash
+/// tables in globals and read them back later, and overwrite or nil rows
+/// and container cells. After every call the two must agree on the
+/// return value, the probe's readout, the hook errors, last_error(),
 /// eval_stats(), cache_stats() and every registry series.
 
 #include <gtest/gtest.h>
@@ -34,7 +36,8 @@ using lua::Value;
 // before they were written on demand. Every mdsload binds its single-row
 // MDSs table, `when` and `where` each bind the whole view, and `when` sets
 // `go` and `__go` before it runs on the interpreter; only the load hooks
-// are lowered. Logging and tracing are left out.
+// are lowered, and `where` and `howmuch` always run on the interpreter.
+// Logging and tracing are left out.
 // ---------------------------------------------------------------------------
 
 constexpr const char* kHookNames[] = {"metaload", "mdsload", "when", "where",
@@ -605,7 +608,8 @@ std::string probe(const std::string& hook) {
   std::string src = "s = \"" + hook + "\"\n";
   for (const char* g : {"i", "whoami", "total", "go", "__go", "authmetaload",
                         "allmetaload", "IRD", "MDSs", "targets", "saved_m",
-                        "saved_r", "saved_t"})
+                        "saved_r", "saved_t", "avg", "myload", "excess",
+                        "deficit"})
     src += dump(g);
   src += R"lua(
 s = s .. "|same=" .. tostring(saved_m == MDSs) .. tostring(saved_t == targets)
@@ -658,10 +662,26 @@ std::vector<std::string> when_variants() {
 }
 
 std::vector<std::string> where_variants() {
+  const std::string table1 = scripts::original().where;
   return {probe("where") +
               "if type(targets) == \"table\" then\n"
               "  targets[1 + n_probe % 3] = n_probe % 5\nend",
-          scripts::original().where, ""};
+          // Table 1's, lowered; then the same on the interpreter: a `local`
+          // and a call are outside the lowering's subset.
+          table1, "local unused = 0\n" + table1,
+          "avg = 0\n" + table1 + "avg = math.max(avg, avg)\n",
+          // Lowered: its `if` assigns `avg` on some ticks, `myload` on
+          // others and neither on the rest, and its targets divide by
+          // zero when whoami is 1, for the sanitizer.
+          "if whoami > 1 and total ~= 0 or not (total < 50) then\n"
+          "  avg = total / #MDSs\nelseif whoami == 1 then\n"
+          "  myload = -whoami\nend\n"
+          "for i = 1, #MDSs do\n"
+          "  if MDSs[i][\"load\"] >= MDSs[whoami][\"load\"] then\n"
+          "    targets[i] = i / (whoami - 1)\n  end\nend",
+          // Assigns the `when` flag, so it stays on the interpreter.
+          "go = whoami\nfor i = 1, #MDSs do targets[i] = go end",
+          ""};
 }
 
 std::vector<std::string> howmuch_variants() {
@@ -670,8 +690,9 @@ std::vector<std::string> howmuch_variants() {
       " tostring(go), tostring(__go), tostring(authmetaload),"
       " tostring(type(MDSs) == \"table\" and #MDSs),"
       " tostring(type(targets) == \"table\" and #targets),"
-      " tostring(type(MDSs) == \"table\" and MDSs[i or 0] ~= nil)}",
-      "{\"big_first\"}", ""};
+      " tostring(type(MDSs) == \"table\" and MDSs[i or 0] ~= nil),"
+      " tostring(avg), tostring(deficit)}",
+      "{\"big_first\"}", "{\"half\", \"small\"}", "{}", ""};
 }
 
 // ---------------------------------------------------------------------------
@@ -778,10 +799,12 @@ struct Pair {
   std::string last_readout_;
 };
 
-/// Coverage of one drive: calls by kind, and lowered `when` calls.
+/// Coverage of one drive: calls by kind, and lowered hook calls.
 struct Coverage {
   int calls[6] = {};
   int lowered_when = 0;
+  int lowered_where = 0;
+  int lowered_howmuch = 0;
   int injected = 0;
 };
 
@@ -810,6 +833,7 @@ void drive(Pair& pr, Rng& rng, int steps, Coverage& cov) {
     } else if (pick < 83) {
       ++cov.calls[3];
       if (rng.uniform(0, 3) == 0) view = random_view(rng);
+      cov.lowered_where += pr.on_demand.is_lowered("mds_bal_where");
       const std::vector<double> a = pr.on_demand.where(view);
       const std::vector<double> b = pr.eager.where(view);
       ASSERT_EQ(a.size(), b.size()) << what << " where";
@@ -817,6 +841,7 @@ void drive(Pair& pr, Rng& rng, int steps, Coverage& cov) {
         ASSERT_TRUE(same_bits(a[t], b[t])) << what << " where " << t;
     } else if (pick < 95) {
       ++cov.calls[4];
+      cov.lowered_howmuch += pr.on_demand.is_lowered("mds_bal_howmuch");
       ASSERT_EQ(pr.on_demand.howmuch(), pr.eager.howmuch()) << what;
     } else {
       ++cov.calls[5];
@@ -879,15 +904,18 @@ TEST_F(MantleEnv, MatchesTheEagerOracleOnRandomCalls) {
                    pick(when_variants()), pick(where_variants()),
                    pick(howmuch_variants())};
     if (seed % 3 == 0) p.when = kTable1When;
+    if (seed % 4 == 0) p.where = scripts::original().where;
     Pair pr(p, MantleBalancer::Options{}.budget);
     drive(pr, rng, 250, cov);
     if (HasFatalFailure()) return;
     readouts += pr.readouts;
   }
-  // The drives reached every kind of call, the lowered `when`, accepted
+  // The drives reached every kind of call, the lowered hooks, accepted
   // injections, and probes whose readouts kept changing.
   for (int k = 0; k < 6; ++k) EXPECT_GT(cov.calls[k], 50) << k;
   EXPECT_GT(cov.lowered_when, 100);
+  EXPECT_GT(cov.lowered_where, 100);
+  EXPECT_GT(cov.lowered_howmuch, 100);
   EXPECT_GT(cov.injected, 50);
   EXPECT_GT(readouts, 300);
 }
@@ -944,6 +972,94 @@ TEST_F(MantleEnv, Table1OnlyLowersItsWhen) {
   opt.budget = 13;
   EXPECT_TRUE(
       MantleBalancer(scripts::original(), opt).is_lowered("mds_bal_when"));
+}
+
+TEST_F(MantleEnv, PaperPoliciesLowerTheirHooks) {
+  constexpr const char* kKeys[] = {"mds_bal_metaload", "mds_bal_mdsload",
+                                   "mds_bal_when", "mds_bal_where",
+                                   "mds_bal_howmuch"};
+  const MantleBalancer table1(scripts::original());
+  for (const char* key : kKeys) EXPECT_TRUE(table1.is_lowered(key)) << key;
+  // Listings 1-4: their `when` chunks fill `targets` through calls, a
+  // `while` or MDSs[whoami+1], and they have no `where`.
+  for (const MantlePolicy& p :
+       {scripts::greedy_spill(), scripts::greedy_spill_even(),
+        scripts::fill_and_spill(), scripts::adaptable()}) {
+    const MantleBalancer b(p);
+    EXPECT_TRUE(b.is_lowered("mds_bal_metaload")) << p.when;
+    EXPECT_TRUE(b.is_lowered("mds_bal_mdsload")) << p.when;
+    EXPECT_FALSE(b.is_lowered("mds_bal_when")) << p.when;
+    EXPECT_FALSE(b.is_lowered("mds_bal_where")) << p.when;
+    EXPECT_TRUE(b.is_lowered("mds_bal_howmuch")) << p.when;
+  }
+  // The `howmuch` list's steps count at compile time, the `where`'s as it
+  // runs: one step below the list's 3 keeps it on the interpreter, and
+  // any budget leaves the `where` lowered.
+  MantleBalancer::Options opt;
+  opt.budget = 2;
+  const MantleBalancer tight(scripts::original(), opt);
+  EXPECT_FALSE(tight.is_lowered("mds_bal_howmuch"));
+  EXPECT_TRUE(tight.is_lowered("mds_bal_where"));
+}
+
+TEST_F(MantleEnv, LoweredWhereFallsBackAtTheBudget) {
+  // Table 1's `where` over three ranks at loads 90, 10 and 20, seen from
+  // the first, takes 145 steps. With a budget of 145 it runs lowered;
+  // with 144 the interpreter runs it and fails as it always has: on the
+  // last step, before `targets[3] = 20`. An interpreted metaload of 12
+  // steps then reads what it left.
+  ClusterView view;
+  view.now = kSec;
+  view.whoami = 0;
+  for (int r = 0; r < 3; ++r) {
+    HeartbeatPayload hb;
+    hb.rank = r;
+    view.mdss.push_back(hb);
+  }
+  view.loads = {90.0, 10.0, 20.0};
+  view.total_load = 120.0;
+  MantlePolicy p = scripts::original();
+  p.metaload = "metaload = targets[2] + 1000 * targets[3] + avg";
+  for (const std::uint64_t budget : {144u, 145u, 1000u}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    Pair pr(p, budget);
+    ASSERT_TRUE(pr.on_demand.is_lowered("mds_bal_where"));
+    const std::uint64_t before = pr.on_demand.eval_stats().lua_steps;
+    const std::vector<double> a = pr.on_demand.where(view);
+    const std::uint64_t steps = pr.on_demand.eval_stats().lua_steps - before;
+    EXPECT_EQ(a, pr.eager.where(view));
+    pr.expect_same("where");
+    const bool starved = budget < 145;
+    const std::vector<double> want =
+        starved ? std::vector<double>(3, 0.0)
+                : std::vector<double>{0.0, 30.0, 20.0};
+    EXPECT_EQ(a, want);
+    EXPECT_EQ(pr.on_demand.hook_errors(), starved ? 1u : 0u);
+    EXPECT_EQ(steps, starved ? budget + 1 : 145u);
+    EXPECT_EQ(pr.on_demand.last_error().find("instruction budget exceeded") !=
+                  std::string::npos,
+              starved);
+    const double read = pr.on_demand.metaload({});
+    EXPECT_EQ(read, pr.eager.metaload({}));
+    EXPECT_EQ(read, starved ? 70.0 : 20070.0);
+    pr.expect_same("metaload");
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST_F(MantleEnv, WhereMayNotAssignWhatTheHostWrites) {
+  // A lowered `where` holds what it assigns until the next flush, which
+  // makes those writes last; a name the host writes in between would be
+  // overwritten out of order.
+  for (const char* g : {"MDSs", "i", "IRD", "IWR", "READDIR", "FETCH",
+                        "STORE", "targets", "whoami", "total",
+                        "authmetaload", "allmetaload", "go", "__go"}) {
+    const MantleBalancer b(MantlePolicy{"", "", "", std::string(g) + " = 1",
+                                        ""});
+    EXPECT_FALSE(b.is_lowered("mds_bal_where")) << g;
+  }
+  EXPECT_TRUE(MantleBalancer(MantlePolicy{"", "", "", "avg = 1", ""})
+                  .is_lowered("mds_bal_where"));
 }
 
 }  // namespace
