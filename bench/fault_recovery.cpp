@@ -60,7 +60,10 @@ FaultTimeline run_once(std::size_t files, Time retry_timeout, Time kCrashAt,
 
   FaultTimeline tl;
   tl.makespan_s = to_seconds(s.run());
-  bench::dump_observability("fault_recovery", cfg.cluster.seed, s);
+  // One file set per retry timeout: fault_recovery-retry<N>s-seed11-*.
+  bench::dump_observability(
+      "fault_recovery-retry" + std::to_string(retry_timeout / kSec) + "s",
+      cfg.cluster.seed, s);
   for (const auto& c : s.clients()) {
     tl.completed += c->ops_completed();
     tl.failed += c->ops_failed();

@@ -117,7 +117,9 @@ inline void dump_observability(const std::string& label, std::uint64_t seed,
         default: return c.provenance().to_json();
       }
     };
-    std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
+    // The provenance digest's offset basis, not FNV's published one
+    // (see obs/provenance.cpp); kept so that no file-set name changes.
+    std::uint64_t h = 1469598103934665603ull;
     for (int i = 0; i < 5; ++i) {
       const std::string body = document(i);
       for (const char ch : body) {

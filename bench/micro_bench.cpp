@@ -1,7 +1,8 @@
 /// Microbenchmarks (google-benchmark): the cost of the moving parts —
 /// luam policy evaluation (the paper argues LuaJIT is fast enough for a
 /// 10 s balancing tick; we verify the same holds for luam), decay
-/// counters, dirfrag math, namespace ops and the event engine.
+/// counters, dirfrag math, namespace ops, the event engine and the
+/// provenance input digest.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "balancers/builtin.hpp"
+#include "cluster/cluster.hpp"
 #include "harness.hpp"
 #include "common/decay_counter.hpp"
 #include "core/mantle.hpp"
@@ -167,6 +169,37 @@ void BM_LuaFib(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LuaFib);
+
+// The provenance input digest a 512-rank tick takes over its view: its
+// cost depends on the data, since a zero byte folds into the multiply of
+// its run. Arg 0 is an idle cluster (every digested value zero, every
+// rank alive), arg 1 a dense one (no zero byte in any value).
+void BM_InputDigest(benchmark::State& state) {
+  constexpr std::size_t kRanks = 512;
+  const bool dense = state.range(0) != 0;
+  cluster::ClusterView v;
+  v.now = 100 * kSec;
+  v.mdss.resize(kRanks);
+  v.loads.assign(kRanks, 0.0);
+  v.alive.assign(kRanks, 1);
+  Rng rng(7);
+  const auto value = [&] { return dense ? rng.uniform_real(1.0, 2.0) : 0.0; };
+  for (std::size_t i = 0; i < kRanks; ++i) {
+    cluster::HeartbeatPayload& hb = v.mdss[i];
+    hb.rank = static_cast<int>(i);
+    hb.auth_metaload = value();
+    hb.all_metaload = value();
+    hb.cpu_pct = value();
+    hb.mem_pct = value();
+    hb.queue_len = value();
+    hb.req_rate = value();
+    v.loads[i] = value();
+    v.total_load += v.loads[i];
+  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(cluster::input_digest(v, 0.01));
+}
+BENCHMARK(BM_InputDigest)->Arg(0)->Arg(1);
 
 void BM_SelectorBestSelection(benchmark::State& state) {
   std::vector<cluster::ExportCandidate> cands;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 
 #include "cluster/candidate_cache.hpp"
 #include "common/log.hpp"
@@ -162,6 +163,34 @@ ClusterMetrics::ClusterMetrics(obs::MetricsRegistry& reg)
                                    obs::buckets::entries(),
                                    "journal entries replayed per recovery")) {}
 
+std::string input_digest(const ClusterView& view, double min_load) {
+  // HookInputRow's six fields lie consecutively in every payload.
+  static_assert(offsetof(HeartbeatPayload, req_rate) ==
+                offsetof(HeartbeatPayload, auth_metaload) + 5 * sizeof(double));
+  const auto* rows =
+      view.mdss.empty()
+          ? nullptr
+          : reinterpret_cast<const unsigned char*>(&view.mdss[0].auth_metaload);
+  return obs::input_digest(obs::DigestInput{
+      view.now, view.whoami, min_load, view.total_load, view.loads,
+      view.alive, rows, sizeof(HeartbeatPayload), view.mdss.size()});
+}
+
+HeartbeatStore::Id HeartbeatStore::publish(const HeartbeatPayload& hb) {
+  if (free_.empty()) {
+    slots_.push_back({hb, 1});
+    return static_cast<Id>(slots_.size() - 1);
+  }
+  const Id id = free_.back();
+  free_.pop_back();
+  slots_[id] = {hb, 1};
+  return id;
+}
+
+void HeartbeatStore::release(Id id) {
+  if (--slots_[id].refs == 0) free_.push_back(id);
+}
+
 // ===========================================================================
 // MdsNode
 // ===========================================================================
@@ -219,9 +248,13 @@ void MdsNode::settle_inbox() {
             });
   // Every change of liveness settles first, so this node has been up (or
   // down) since the earliest of these landed: one check covers them all.
-  if (cluster_.is_up(rank_))
-    for (auto it = inbox_.begin(); it != landed; ++it)
-      on_heartbeat(it->hb, it->arrival);
+  // A down node discards its copies.
+  const bool up = cluster_.is_up(rank_);
+  HeartbeatStore& store = cluster_.hb_store_;
+  for (auto it = inbox_.begin(); it != landed; ++it) {
+    if (up) on_heartbeat(store.payload(it->id), it->arrival);
+    store.release(it->id);
+  }
   inbox_.erase(inbox_.begin(), landed);
 }
 
@@ -555,6 +588,7 @@ void MdsNode::tick() {
   // layer may drop a delivery, duplicate it, or stretch its delay further.
   constexpr double kHbJitterFrac = 0.5;
   NetworkFaults* nf = cluster_.network_faults();
+  const HeartbeatStore::Id pub = cluster_.hb_store_.publish(me);
   std::uint64_t sent = 0;
   std::uint64_t dropped = 0;
   std::uint64_t duplicated = 0;
@@ -575,9 +609,10 @@ void MdsNode::tick() {
           1.0 + kHbJitterFrac * (2.0 * rng_.next_double() - 1.0);
       Time delay = static_cast<Time>(static_cast<double>(cfg.hb_delay) * f);
       if (nf != nullptr) delay += nf->extra_heartbeat_delay(rank_, p);
-      cluster_.send_heartbeat(p, delay, me);
+      cluster_.send_heartbeat(p, delay, pub);
     }
   }
+  cluster_.hb_store_.release(pub);
   cluster_.om_.hb_sent.inc(sent);
   cluster_.om_.hb_dropped.inc(dropped);
   cluster_.om_.hb_duplicated.inc(duplicated);
@@ -617,19 +652,28 @@ void MdsNode::tick() {
     const obs::SpanId tick_span = cluster_.trace_.next_span();
 
     // Provenance: capture the exact hook environment the decision saw.
+    // The digest covers the whole input table, read from the view in
+    // place; above kProvenanceMaxRanks ranks the record keeps only the
+    // digest, so a record costs no O(ranks) memory.
+    constexpr std::size_t kProvenanceMaxRanks = 64;
     obs::DecisionRecord rec;
     rec.at = now;
     rec.rank = rank_;
     rec.span = tick_span;
     rec.policy = balancer_->name();
     rec.min_load = cfg.bal_min_load;
-    rec.mdss.reserve(hb_.size());
-    for (const HeartbeatPayload& h : hb_)
-      rec.mdss.push_back({h.auth_metaload, h.all_metaload, h.cpu_pct,
-                          h.mem_pct, h.queue_len, h.req_rate});
-    rec.loads = view.loads;
-    rec.alive = view.alive;
     rec.total_load = view.total_load;
+    rec.digest = input_digest(view, cfg.bal_min_load);
+    if (hb_.size() > kProvenanceMaxRanks) {
+      rec.truncated = true;
+    } else {
+      rec.mdss.reserve(hb_.size());
+      for (const HeartbeatPayload& h : hb_)
+        rec.mdss.push_back({h.auth_metaload, h.all_metaload, h.cpu_pct,
+                            h.mem_pct, h.queue_len, h.req_rate});
+      rec.loads = view.loads;
+      rec.alive = view.alive;
+    }
 
     const bool migrate =
         view.total_load >= cfg.bal_min_load && balancer_->when(view);
@@ -734,18 +778,6 @@ MdsCluster::MdsCluster(sim::Engine& engine, ClusterConfig cfg)
 }
 
 void MdsCluster::record_provenance(obs::DecisionRecord rec) {
-  // Above this many ranks the per-rank input tables (mdss/loads/alive)
-  // are elided from stored records. The digest is taken over the *full*
-  // table first, so same-seed runs still compare equal digests at 512
-  // ranks without each record costing O(ranks) memory.
-  constexpr std::size_t kProvenanceMaxRanks = 64;
-  rec.digest = obs::input_digest(rec);
-  if (rec.mdss.size() > kProvenanceMaxRanks) {
-    rec.mdss.clear();
-    rec.loads.clear();
-    rec.alive.clear();
-    rec.truncated = true;
-  }
   (provenance_.record(std::move(rec)) ? om_.provenance_records
                                       : om_.provenance_dropped)
       .inc();
@@ -785,10 +817,11 @@ void MdsCluster::schedule_tick(MdsRank rank) {
 }
 
 void MdsCluster::send_heartbeat(MdsRank to, Time delay,
-                                const HeartbeatPayload& hb) {
+                                HeartbeatStore::Id hb) {
   const Time arrival = engine_.now() + delay;
   // A delay that saturates means "never", as it does for schedule_after.
   if (arrival < engine_.now() || arrival == sim::kTimeMax) return;
+  hb_store_.retain(hb);
   node(to).inbox_.push_back({arrival, engine_.reserve_seq(), hb});
 }
 

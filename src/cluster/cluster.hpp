@@ -286,6 +286,48 @@ struct ClusterMetrics {
   obs::Histogram& replay_entries;
 };
 
+/// The provenance input digest (obs::input_digest) of the decision a
+/// tick takes over `view` under the `min_load` gate, read from the view's
+/// own rows in place.
+std::string input_digest(const ClusterView& view, double min_load);
+
+/// Heartbeats published once per sender tick. Every copy on the wire
+/// names its sender's publication instead of carrying the payload, and
+/// the receiver copies the payload into its table when it applies the
+/// copy. A publication lives while its publisher (during the fan-out) or
+/// some inbox entry holds a reference, so the store holds one or two per
+/// sender and does not grow with the length of a run.
+class HeartbeatStore {
+ public:
+  using Id = std::uint32_t;
+
+  /// Store `hb` with one reference, the publisher's: each copy sent adds
+  /// one, and the publisher drops its own with release() after the
+  /// fan-out.
+  Id publish(const HeartbeatPayload& hb);
+  void retain(Id id) { ++slots_[id].refs; }
+  /// Drop one reference; the last one frees the publication.
+  void release(Id id);
+
+  const HeartbeatPayload& payload(Id id) const { return slots_[id].hb; }
+  /// References to a publication (0 once it is freed).
+  std::uint32_t refs(Id id) const {
+    return id < slots_.size() ? slots_[id].refs : 0;
+  }
+  /// Publications not freed yet.
+  std::size_t live() const { return slots_.size() - free_.size(); }
+  /// Slots ever allocated: the most publications live at once.
+  std::size_t slots() const { return slots_.size(); }
+
+ private:
+  struct Slot {
+    HeartbeatPayload hb;
+    std::uint32_t refs = 0;
+  };
+  std::vector<Slot> slots_;
+  std::vector<Id> free_;
+};
+
 /// One metadata server: a FIFO service queue, per-window utilization
 /// accounting, heartbeat state, and a pluggable balancing policy.
 class MdsNode {
@@ -341,6 +383,16 @@ class MdsNode {
     return hb_;
   }
 
+  /// A heartbeat copy on the wire to this node: where it lands in the
+  /// engine's order, and the publication it names.
+  struct InboxEntry {
+    Time arrival = 0;
+    std::uint64_t seq = 0;
+    HeartbeatStore::Id id = 0;
+  };
+  /// Copies not yet applied or discarded (in no particular order).
+  const std::vector<InboxEntry>& inbox() const { return inbox_; }
+
   /// Fresh metrics snapshot (also what goes into this node's heartbeat).
   HeartbeatPayload measure();
 
@@ -376,13 +428,7 @@ class MdsNode {
 
   std::vector<HeartbeatPayload> hb_;  // last received from each rank
   HbSummary hb_summary_;
-  /// A heartbeat on the wire to this node (see heartbeats()).
-  struct InboxEntry {
-    Time arrival = 0;
-    std::uint64_t seq = 0;
-    HeartbeatPayload hb;
-  };
-  std::vector<InboxEntry> inbox_;
+  std::vector<InboxEntry> inbox_;  // see heartbeats()
   std::unique_ptr<Balancer> balancer_;
   MdsStats stats_;
   mantle::DecayCounter forward_pop_;  // decayed load from misdirected reqs
@@ -417,10 +463,9 @@ class MdsCluster {
   obs::ProvenanceRecorder& provenance() { return provenance_; }
   const obs::ProvenanceRecorder& provenance() const { return provenance_; }
 
-  /// Finalize and store one decision record: compute the input digest,
-  /// apply the kProvenanceMaxRanks truncation and bump the provenance
-  /// counters. The record's `span` is the tick span its `when` event
-  /// carries, which is how a reader joins it to the trace.
+  /// Store one decision record and bump the provenance counters. The
+  /// record's `span` is the tick span its `when` event carries, which is
+  /// how a reader joins it to the trace.
   void record_provenance(obs::DecisionRecord rec);
 
   int num_mds() const { return static_cast<int>(nodes_.size()); }
@@ -488,11 +533,16 @@ class MdsCluster {
   /// rank was not down.
   bool restart_mds(MdsRank rank);
 
-  /// Put one heartbeat copy on the wire: it lands at `to` after `delay`
-  /// and waits in its inbox until read (see MdsNode::heartbeats()). The
-  /// delivery takes the engine seq its event would have taken, so ties
-  /// with events at the arrival time break as they would for an event.
-  void send_heartbeat(MdsRank to, Time delay, const HeartbeatPayload& hb);
+  /// Heartbeats a sender published for its fan-out (see HeartbeatStore).
+  HeartbeatStore& heartbeat_store() { return hb_store_; }
+  const HeartbeatStore& heartbeat_store() const { return hb_store_; }
+
+  /// Put one copy of a published heartbeat on the wire: it lands at `to`
+  /// after `delay` and waits in its inbox, holding a reference to the
+  /// publication, until read (see MdsNode::heartbeats()). The delivery
+  /// takes the engine seq its event would have taken, so ties with events
+  /// at the arrival time break as they would for an event.
+  void send_heartbeat(MdsRank to, Time delay, HeartbeatStore::Id hb);
 
   /// Apply, on every node, each heartbeat that has landed by the engine's
   /// dispatch point. Runs before anything the receive path reads changes
@@ -666,6 +716,7 @@ class MdsCluster {
   ClusterMetrics om_;  // cached handles into metrics_ (must follow it)
   std::vector<std::unique_ptr<MdsNode>> nodes_;
   std::vector<store::Journal> journals_;
+  HeartbeatStore hb_store_;
 
   std::map<DirFragId, MdsRank> subtree_roots_;
   std::map<std::size_t, ActiveMigration> active_migrations_;  // by id

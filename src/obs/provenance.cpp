@@ -1,5 +1,7 @@
 #include "obs/provenance.hpp"
 
+#include <array>
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -27,42 +29,98 @@ std::string secs(Time t) {
   return buf;
 }
 
-// FNV-1a 64-bit.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ULL;
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ULL;
-    }
+// FNV-1a 64-bit, with its prime but not the published offset basis:
+// 1469598103934665603 is 14695981039346656037 missing its last digit.
+// bench/harness.hpp, perfbench/runner.cpp and decision_pin_test.cpp use
+// the same basis, and it stays so that no digest changes.
+//
+// Every input is a sequence of 8-byte fields, hashed byte by byte in
+// memory order. A zero byte leaves h unchanged by the xor (h ^ 0 == h),
+// so it only multiplies by the prime: a run of k zero bytes folds into one
+// multiply by prime^k, and the digest is the byte-serial one.
+class Fnv {
+ public:
+  /// Hash `n` 8-byte fields starting at `p`.
+  void words(const unsigned char* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) word(p + 8 * i);
   }
-  void f64(double x) { bytes(&x, sizeof(x)); }
-  void u(std::uint64_t x) { bytes(&x, sizeof(x)); }
+  void f64(double x) { word(reinterpret_cast<const unsigned char*>(&x)); }
+  void u(std::uint64_t x) { word(reinterpret_cast<const unsigned char*>(&x)); }
+  std::uint64_t value() {
+    fold_zeros();
+    return h_;
+  }
+
+ private:
+  static constexpr std::uint64_t kPrime = 1099511628211ULL;
+  static constexpr std::size_t kMaxRun = 64;
+  /// kPow[k] = prime^k (mod 2^64).
+  static constexpr std::array<std::uint64_t, kMaxRun + 1> kPow = [] {
+    std::array<std::uint64_t, kMaxRun + 1> t{};
+    t[0] = 1;
+    for (std::size_t k = 1; k <= kMaxRun; ++k) t[k] = t[k - 1] * kPrime;
+    return t;
+  }();
+
+  void word(const unsigned char* p) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    if (w == 0) {
+      zeros_ += 8;
+      return;
+    }
+    // The zero bytes before the first and after the last nonzero byte (in
+    // memory order) join the runs around this word; those between are
+    // hashed one by one.
+    const int low = std::countr_zero(w) / 8;
+    const int high = std::countl_zero(w) / 8;
+    constexpr bool little = std::endian::native == std::endian::little;
+    const std::size_t first = static_cast<std::size_t>(little ? low : high);
+    const std::size_t last = 8 - static_cast<std::size_t>(little ? high : low);
+    zeros_ += first;
+    if (zeros_ != 0) fold_zeros();
+    for (std::size_t j = first; j < last; ++j) {
+      h_ ^= p[j];
+      h_ *= kPrime;
+    }
+    zeros_ = 8 - last;
+  }
+  void fold_zeros() {
+    for (; zeros_ > kMaxRun; zeros_ -= kMaxRun) h_ *= kPow[kMaxRun];
+    h_ *= kPow[zeros_];
+    zeros_ = 0;
+  }
+
+  std::uint64_t h_ = 1469598103934665603ULL;
+  std::size_t zeros_ = 0;
 };
 
 }  // namespace
 
-std::string input_digest(const DecisionRecord& rec) {
+std::string input_digest(const DigestInput& in) {
   Fnv f;
-  f.u(static_cast<std::uint64_t>(rec.at));
-  f.u(static_cast<std::uint64_t>(static_cast<std::int64_t>(rec.rank)));
-  f.f64(rec.min_load);
-  f.f64(rec.total_load);
-  f.u(rec.loads.size());
-  for (const double x : rec.loads) f.f64(x);
-  for (const std::uint8_t a : rec.alive) f.u(a);
-  for (const HookInputRow& r : rec.mdss) {
-    f.f64(r.auth_metaload);
-    f.f64(r.all_metaload);
-    f.f64(r.cpu_pct);
-    f.f64(r.mem_pct);
-    f.f64(r.queue_len);
-    f.f64(r.req_rate);
-  }
+  f.u(static_cast<std::uint64_t>(in.at));
+  f.u(static_cast<std::uint64_t>(static_cast<std::int64_t>(in.rank)));
+  f.f64(in.min_load);
+  f.f64(in.total_load);
+  f.u(in.loads.size());
+  f.words(reinterpret_cast<const unsigned char*>(in.loads.data()),
+          in.loads.size());
+  for (const std::uint8_t a : in.alive) f.u(a);
+  for (std::size_t i = 0; i < in.row_count; ++i)
+    f.words(in.rows + i * in.row_stride, sizeof(HookInputRow) / 8);
   char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, f.h);
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, f.value());
   return buf;
+}
+
+std::string input_digest(const DecisionRecord& rec) {
+  static_assert(sizeof(HookInputRow) == 6 * sizeof(double));
+  return input_digest(
+      DigestInput{rec.at, rec.rank, rec.min_load, rec.total_load, rec.loads,
+                  rec.alive,
+                  reinterpret_cast<const unsigned char*>(rec.mdss.data()),
+                  sizeof(HookInputRow), rec.mdss.size()});
 }
 
 namespace {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,7 +63,7 @@ struct DecisionRecord {
   std::vector<std::uint8_t> alive; ///< 1 = in view
   double total_load = 0.0;
   std::string digest;     ///< FNV-1a over the *untruncated* inputs
-  bool truncated = false; ///< per-rank tables elided (above 64 ranks)
+  bool truncated = false; ///< per-rank tables never built (above 64 ranks)
 
   // --- outputs ---
   bool go = false;                     ///< when() verdict (after min_load gate)
@@ -81,10 +82,30 @@ struct DecisionRecord {
   std::string to_json() const;
 };
 
-/// 16-hex-char FNV-1a digest over a record's input fields (at, rank,
-/// min_load, total_load, loads, alive, mdss rows). Compute *before*
-/// truncating the per-rank tables so the digest always covers the full
-/// input table.
+/// The inputs a decision's digest covers, read where they lie: a
+/// record's own tables, or the rows a balancer tick's view already holds.
+/// Each row is six consecutive doubles in HookInputRow's field order, and
+/// row i starts `row_stride` bytes after `rows`.
+struct DigestInput {
+  Time at = 0;
+  int rank = -1;
+  double min_load = 0.0;
+  double total_load = 0.0;
+  std::span<const double> loads;
+  std::span<const std::uint8_t> alive;
+  const unsigned char* rows = nullptr;
+  std::size_t row_stride = 0;
+  std::size_t row_count = 0;
+};
+
+/// 16-hex-char FNV-1a digest over a decision's input fields (at, rank,
+/// min_load, total_load, loads, alive, mdss rows). A balancer tick takes
+/// it over its view in place, so a truncated record's digest still covers
+/// the full input table.
+std::string input_digest(const DigestInput& in);
+
+/// The digest over a record's own tables (records of 64 ranks or fewer:
+/// a truncated record has none).
 std::string input_digest(const DecisionRecord& rec);
 
 /// Bounded record store (same shape as TraceSink): keeps the first

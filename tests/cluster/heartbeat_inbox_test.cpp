@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -8,13 +10,16 @@
 #include "common/rng.hpp"
 
 /// The heartbeat inbox against the path it replaced. A delivery is not an
-/// engine event: MdsCluster::send_heartbeat() parks it in the receiver's
-/// inbox, keyed (arrival, seq), and the receiver applies it when its
-/// heartbeat state is read. The reference is the event-per-delivery path:
-/// one engine event per delivery, which calls on_heartbeat() when it fires
-/// if the receiver is up. Both run the same random schedules of sends,
-/// reads, crashes and restarts on identical clusters. After every read the
-/// two must hold the same tables, counters and hb-received summaries.
+/// engine event: a sender publishes its payload once, and
+/// MdsCluster::send_heartbeat() parks a copy naming the publication in the
+/// receiver's inbox, keyed (arrival, seq); the receiver applies it when
+/// its heartbeat state is read. The reference is the event-per-delivery
+/// path: one engine event per delivery, carrying the payload, which calls
+/// on_heartbeat() when it fires if the receiver is up. Both run the same
+/// random schedules of sends, reads, crashes and restarts on identical
+/// clusters. After every read the two must hold the same tables, counters
+/// and hb-received summaries, and the store must hold exactly the
+/// publications some inbox entry names, with one reference per entry.
 
 namespace mantle::cluster {
 namespace {
@@ -75,6 +80,11 @@ Schedule make_schedule(std::uint64_t seed) {
           // 250 ms +/- 50% of jitter, sometimes up to 2 s more.
           cp.delay = step(12, 38);
           if (rng.uniform(0, 3) == 0) cp.delay += step(1, 200);
+          // Rarely a delay that saturates: the copy never lands, and
+          // holds no reference to its publication.
+          const std::uint64_t sat = rng.uniform(0, 39);
+          if (sat == 0) cp.delay = sim::kTimeMax;
+          if (sat == 1) cp.delay = sim::kTimeMax - a.at;
           const std::uint64_t e = rng.uniform(0, 19);
           cp.echo = e < 3   ? Action::Echo::ReadBefore
                     : e < 6 ? Action::Echo::ReadAfter
@@ -120,14 +130,29 @@ struct Side {
                 }()),
         reference(ref) {}
 
-  void deliver(MdsRank to, Time delay, const HeartbeatPayload& hb) {
+  void deliver(MdsRank to, Time delay, const HeartbeatPayload& hb,
+               HeartbeatStore::Id pub) {
     if (!reference) {
-      cluster.send_heartbeat(to, delay, hb);
+      cluster.send_heartbeat(to, delay, pub);
       return;
     }
     engine.schedule_after(delay, [this, to, hb] {
       if (cluster.is_up(to)) cluster.node(to).on_heartbeat(hb, engine.now());
     });
+  }
+
+  /// The store against the inboxes: each live publication is named by
+  /// exactly as many inbox entries as it has references, and nothing else
+  /// is live.
+  void check_store() {
+    std::map<HeartbeatStore::Id, std::uint32_t> named;
+    for (MdsRank r = 0; r < kRanks; ++r)
+      for (const MdsNode::InboxEntry& e : cluster.node(r).inbox())
+        ++named[e.id];
+    const HeartbeatStore& store = cluster.heartbeat_store();
+    ASSERT_EQ(store.live(), named.size()) << "t=" << engine.now();
+    for (const auto& [id, copies] : named)
+      ASSERT_EQ(store.refs(id), copies) << "t=" << engine.now();
   }
 
   void read_one(MdsRank r) {
@@ -143,6 +168,7 @@ struct Side {
             " age=" + std::to_string(s.min_age) + ".." +
             std::to_string(s.max_age);
     log.push_back(std::move(line));
+    check_store();
   }
 
   void read_all() {
@@ -156,6 +182,7 @@ struct Side {
         std::to_string(
             m.counter("mds_heartbeats_stale_rejected_total").value()) +
         " rejected=" + std::to_string(cluster.stale_heartbeats_rejected()));
+    check_store();
   }
 
   void apply(const Action& a, std::size_t index) {
@@ -167,16 +194,19 @@ struct Side {
         hb.sent_at = engine.now();
         hb.epoch = cluster.crash_epoch(a.rank);
         hb.all_metaload = static_cast<double>(index);
+        HeartbeatStore& store = cluster.heartbeat_store();
+        const HeartbeatStore::Id pub = store.publish(hb);
         for (const Action::Copy& c : a.copies) {
           const MdsRank to = c.to;
           if (c.echo == Action::Echo::ReadBefore)
             engine.schedule_after(c.delay, [this, to] { read_one(to); });
-          deliver(to, c.delay, hb);
+          deliver(to, c.delay, hb, pub);
           if (c.echo == Action::Echo::ReadAfter)
             engine.schedule_after(c.delay, [this, to] { read_one(to); });
           if (c.echo == Action::Echo::Crash)
             engine.schedule_after(c.delay, [this, to] { cluster.crash_mds(to); });
         }
+        store.release(pub);
         return;
       }
       case Action::Kind::ReadOne: read_one(a.rank); return;
@@ -241,7 +271,11 @@ TEST(HeartbeatInbox, DeliveryIsNoEngineEvent) {
   Side s(false, true);
   HeartbeatPayload hb;
   hb.rank = 0;
-  s.cluster.send_heartbeat(1, 250 * kMsec, hb);
+  HeartbeatStore& store = s.cluster.heartbeat_store();
+  const HeartbeatStore::Id pub = store.publish(hb);
+  s.cluster.send_heartbeat(1, 250 * kMsec, pub);
+  store.release(pub);
+  EXPECT_EQ(store.refs(pub), 1u);  // the copy's
   EXPECT_TRUE(s.engine.empty());
   s.engine.run();
   EXPECT_EQ(s.engine.now(), 0u);
@@ -252,6 +286,62 @@ TEST(HeartbeatInbox, DeliveryIsNoEngineEvent) {
   EXPECT_EQ(s.engine.now(), 250 * kMsec);
   EXPECT_EQ(s.cluster.node(1).hb_summary().applied, 1u);
   EXPECT_EQ(s.cluster.node(1).hb_summary().max_age, 250 * kMsec);
+  EXPECT_EQ(store.live(), 0u);  // applied: the publication is freed
+}
+
+/// Heartbeat faults from a seeded stream: drops, duplicates, delays of
+/// up to four balancing intervals and, rarely, a delay that saturates.
+struct RandomFaults : NetworkFaults {
+  Rng rng{17};
+  bool drop_heartbeat(MdsRank, MdsRank) override {
+    return rng.uniform(0, 9) == 0;
+  }
+  bool duplicate_heartbeat(MdsRank, MdsRank) override {
+    return rng.uniform(0, 9) == 0;
+  }
+  Time extra_heartbeat_delay(MdsRank, MdsRank) override {
+    const std::uint64_t k = rng.uniform(0, 39);
+    if (k == 0) return sim::kTimeMax;
+    return k < 8 ? static_cast<Time>(rng.uniform(0, 4)) * kSec : 0;
+  }
+};
+
+TEST(HeartbeatInbox, StoreStaysBoundedOverManyIntervals) {
+  // A publication is freed once its last copy is applied or discarded, so
+  // the store holds only the last few intervals' publications however
+  // long the run. A copy waits at most its delay (1.5 hb_delay plus 4 s)
+  // and then until its receiver's next tick, or, on a down receiver, until
+  // the restart settles it: under 20 s here, so under 20 publications per
+  // sender, against 8 ranks x 500 published.
+  constexpr int kN = 8;
+  constexpr int kIntervals = 500;
+  sim::Engine engine;
+  ClusterConfig cfg;
+  cfg.num_mds = kN;
+  cfg.bal_interval = kSec;
+  MdsCluster cluster(engine, cfg);
+  RandomFaults nf;
+  cluster.set_network_faults(&nf);
+  cluster.start();
+  std::size_t peak = 0;
+  for (int i = 1; i <= kIntervals; ++i) {
+    // Every 50 intervals one rank is down for 8 of them.
+    if (i % 50 == 10) cluster.crash_mds(i / 50 % kN);
+    if (i % 50 == 18) cluster.restart_mds(i / 50 % kN);
+    engine.run_until(static_cast<Time>(i) * kSec);
+    peak = std::max(peak, cluster.heartbeat_store().live());
+  }
+  cluster.settle_heartbeats();
+  const std::uint64_t sent =
+      cluster.metrics().counter("mds_heartbeats_sent_total").value();
+  EXPECT_GT(sent, static_cast<std::uint64_t>(kN * (kN - 1) * kIntervals / 2));
+  EXPECT_GT(cluster.stale_heartbeats_rejected(), 0u);
+  EXPECT_GT(peak, static_cast<std::size_t>(kN));
+  EXPECT_LE(cluster.heartbeat_store().slots(), static_cast<std::size_t>(20 * kN));
+
+  std::size_t copies = 0;
+  for (MdsRank r = 0; r < kN; ++r) copies += cluster.node(r).inbox().size();
+  EXPECT_LE(cluster.heartbeat_store().live(), copies);
 }
 
 }  // namespace
